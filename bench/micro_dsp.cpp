@@ -23,6 +23,7 @@
 #include "rfdump/dsp/resampler.hpp"
 #include "rfdump/dsp/simd.hpp"
 #include "rfdump/obs/obs.hpp"
+#include "rfdump/phybt/demodulator.hpp"
 #include "rfdump/phybt/gfsk.hpp"
 #include "rfdump/util/rng.hpp"
 
@@ -250,6 +251,27 @@ int RunSpeedupTable() {
   measure("conj-mul-sum", false, [&](const simd::Kernels& k) {
     dsp::cfloat s = k.conj_mul_sum(x.data(), kN);
     benchmark::DoNotOptimize(&s);
+  });
+  // The 802.11 demodulator's 11/8 resampler shape (11 phases x 12 taps)
+  // over [11 history | kN - 11 input] samples.
+  const std::vector<float> rs_taps =
+      dsp::DesignLowPass(0.5, 11.0, 11 * 12, dsp::WindowType::kBlackmanHarris);
+  const std::size_t rs_out_n = (kN - 11) * 11 / 8;
+  dsp::SampleVec planes(simd::PolyphasePlanesSize(kN, 8)), rs_out(rs_out_n);
+  measure("polyphase-resample", false, [&](const simd::Kernels& k) {
+    k.polyphase_resample(x.data(), kN, rs_out_n, 0, 11, 8, rs_taps.data(), 12,
+                         planes.data(), rs_out.data());
+    benchmark::DoNotOptimize(rs_out.data());
+  });
+  // A full 8-channel Bluetooth scan (GFSK front end + sync search) per input
+  // sample. It runs through the active table, so the tier is forced around
+  // each side and the dispatch state restored after.
+  measure("bt-channel-scan", false, [&](const simd::Kernels& k) {
+    simd::ForceTier(k.tier);
+    rfdump::phybt::Demodulator demod;
+    auto pkts = demod.DecodeAll(x);
+    benchmark::DoNotOptimize(pkts.data());
+    simd::ClearForcedTier();
   });
 
   int gate_hits = 0;

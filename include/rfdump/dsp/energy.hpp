@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "rfdump/dsp/types.hpp"
@@ -44,6 +45,10 @@ class MovingAveragePower {
   /// computes a whole block's power plane once and feeds it here).
   float Push(float power);
 
+  /// Push(power[i]) for each i in order, storing each returned average in
+  /// out[i]. Bit-identical to the per-sample loop, in one block pass.
+  void PushBlock(std::span<const float> power, float* out);
+
   /// Current average without pushing.
   float Average() const;
 
@@ -59,6 +64,7 @@ class MovingAveragePower {
   std::size_t count_ = 0;
   double sum_ = 0.0;
   // Rounding drift from the running sum is purged periodically.
+  static constexpr std::size_t kRebuildPeriod = std::size_t{1} << 20;
   std::size_t pushes_since_rebuild_ = 0;
 };
 

@@ -29,7 +29,9 @@ class RationalResampler {
   std::size_t decim() const { return decim_; }
 
   /// Resamples `input`, appending the produced samples to `out`. Maintains
-  /// state across calls so a long stream can be processed in chunks.
+  /// state across calls so a long stream can be processed in chunks; the
+  /// output is bit-identical however the stream is chunked, and on every
+  /// dsp::simd tier (the polyphase_resample kernel).
   void Process(const_sample_span input, SampleVec& out);
 
   /// One-shot convenience wrapper.
@@ -42,11 +44,12 @@ class RationalResampler {
   std::size_t interp_;
   std::size_t decim_;
   std::size_t taps_per_phase_;
-  // phases_[p][k] applies to x[n-k] for an output at polyphase offset p.
-  std::vector<std::vector<float>> phases_;
-  SampleVec window_;           // last taps_per_phase input samples (newest last)
-  std::size_t filled_ = 0;     // valid samples in window_
-  std::size_t phase_acc_ = 0;  // polyphase accumulator in [0, interp)
+  // phases_[p * taps_per_phase_ + k] applies to x[n-k] for an output at
+  // polyphase offset p.
+  std::vector<float> phases_;
+  SampleVec history_;          // last taps_per_phase - 1 inputs (newest last)
+  std::size_t phase_acc_ = 0;  // upsampled position of the next output,
+                               // relative to the next input
 };
 
 /// Integer decimator with windowed-sinc anti-alias low-pass filtering.

@@ -99,7 +99,41 @@ struct Kernels {
   /// lane j % 8; lanes combine as ((l0+l2)+(l4+l6)) + ((l1+l3)+(l5+l7));
   /// the tail is accumulated sequentially after the combine.
   cfloat (*conj_mul_sum)(const cfloat* x, std::size_t n);
+
+  /// Rational polyphase resampling over a contiguous [history | input]
+  /// buffer `work` of `n_work` samples. Output t sits at upsampled position
+  /// u = phase0 + t * decim, i.e. on input n = u / interp with tap phase
+  /// p = u % interp, for t in [0, n_out):
+  ///   out[t] = sum_k taps[p * n_taps + k] * work[n + n_taps - 1 - k],
+  /// k ascending per output (the order of the historical per-sample
+  /// resampler). Requires n + n_taps <= n_work for every output. `planes`
+  /// is caller-owned scratch of PolyphasePlanesSize(n_work, decim) samples;
+  /// the vector tiers split `work` into `decim` planes there so that
+  /// outputs t, t + interp, t + 2 * interp, ... (one tap phase, inputs
+  /// `decim` apart) load as one contiguous vector.
+  void (*polyphase_resample)(const cfloat* work, std::size_t n_work,
+                             std::size_t n_out, std::size_t phase0,
+                             std::size_t interp, std::size_t decim,
+                             const float* taps, std::size_t n_taps,
+                             cfloat* planes, cfloat* out);
+
+  /// Sign slicer of an 8-samples-per-symbol discriminator track: bit r of
+  /// out[m] is ((f[8m+r-1] + f[8m+r]) + f[8m+r+1]) > 0 (NaN slices 0), for
+  /// m in [0, n_sym) and r in [0, 8). Reads f[-1] .. f[8 * n_sym].
+  void (*slice_bytes)(const float* f, std::size_t n_sym, std::uint8_t* out);
 };
+
+/// Scratch samples polyphase_resample needs for its planes: `decim` planes
+/// of ceil(n_work / decim) samples, each padded by 8 so that the planes do
+/// not all start at the same offset modulo 4 KiB.
+[[nodiscard]] constexpr std::size_t PolyphasePlaneStride(std::size_t n_work,
+                                                         std::size_t decim) {
+  return (n_work + decim - 1) / decim + 8;
+}
+[[nodiscard]] constexpr std::size_t PolyphasePlanesSize(std::size_t n_work,
+                                                        std::size_t decim) {
+  return decim * PolyphasePlaneStride(n_work, decim);
+}
 
 /// Kernel table of ActiveTier(). One relaxed atomic load; safe to call from
 /// any thread.

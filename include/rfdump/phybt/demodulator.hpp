@@ -42,7 +42,9 @@ class Demodulator {
     /// UAP used to seed HEC/CRC checks (known to the experiments; a fully
     /// blind monitor would also iterate UAP candidates).
     std::uint8_t expected_uap = 0x47;
-    /// If >= 0, scan only this visible channel index; otherwise scan all 8.
+    /// A visible channel index in [0, kVisibleChannels) scans only that
+    /// channel; -1 scans all 8. Anything else makes the constructor throw
+    /// std::invalid_argument.
     int channel_index = -1;
     /// Maximum bit errors tolerated in the 64-bit sync word BCH check.
     int max_sync_errors = 0;

@@ -46,6 +46,11 @@ struct PacketHeader {
   bool seqn = false;
 };
 
+/// BCH(64,30) parity of the low 30 bits of `info30`: the 34-bit remainder
+/// of info30 * x^34 modulo the generator (Baseband 6.3.3.1). The remainder
+/// is linear over GF(2), so it is the XOR of four per-byte table entries.
+[[nodiscard]] std::uint64_t BchParity(std::uint64_t info30);
+
 /// 64-bit sync word from the LAP (BCH(64,30) with pseudo-noise overlay per
 /// Baseband spec 6.3.3). Bit 0 of the result is transmitted first.
 [[nodiscard]] std::uint64_t SyncWord(std::uint32_t lap);

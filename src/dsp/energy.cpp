@@ -1,5 +1,6 @@
 #include "rfdump/dsp/energy.hpp"
 
+#include <bit>
 #include <stdexcept>
 
 #include "rfdump/dsp/simd.hpp"
@@ -41,12 +42,42 @@ float MovingAveragePower::Push(float power) {
   if (++head_ == window_) head_ = 0;
   if (count_ < window_) ++count_;
   // Rebuild the running sum occasionally to cancel accumulated float error.
-  if (++pushes_since_rebuild_ >= 1u << 20) {
+  if (++pushes_since_rebuild_ >= kRebuildPeriod) {
     sum_ = 0.0;
     for (float v : ring_) sum_ += v;
     pushes_since_rebuild_ = 0;
   }
   return Average();
+}
+
+void MovingAveragePower::PushBlock(std::span<const float> power, float* out) {
+  // Push() with the state in locals. Once the window is full the average
+  // divides by window_; for a power-of-two window that division is exact
+  // scaling, so multiplying by the reciprocal gives the same bits.
+  double sum = sum_;
+  std::size_t head = head_, count = count_, since = pushes_since_rebuild_;
+  float* ring = ring_.data();
+  const bool pow2 = std::has_single_bit(window_);
+  const double inv_window = 1.0 / static_cast<double>(window_);
+  for (std::size_t i = 0; i < power.size(); ++i) {
+    const float p = power[i];
+    sum += p - ring[head];
+    ring[head] = p;
+    if (++head == window_) head = 0;
+    if (count < window_) ++count;
+    if (++since >= kRebuildPeriod) {
+      sum = 0.0;
+      for (std::size_t j = 0; j < window_; ++j) sum += ring[j];
+      since = 0;
+    }
+    out[i] = static_cast<float>(count == window_ && pow2
+                                    ? sum * inv_window
+                                    : sum / static_cast<double>(count));
+  }
+  sum_ = sum;
+  head_ = head;
+  count_ = count;
+  pushes_since_rebuild_ = since;
 }
 
 float MovingAveragePower::Average() const {

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "rfdump/dsp/simd.hpp"
+#include "rfdump/util/scratch.hpp"
+
 namespace rfdump::dsp {
 
 RationalResampler::RationalResampler(std::size_t interp, std::size_t decim,
@@ -20,38 +23,48 @@ RationalResampler::RationalResampler(std::size_t interp, std::size_t decim,
                              WindowType::kBlackmanHarris);
   // Interpolation inserts L-1 zeros between samples; compensate the gain.
   for (auto& t : proto) t *= static_cast<float>(interp);
-  phases_.assign(interp, std::vector<float>(taps_per_phase, 0.0f));
+  phases_.assign(interp * taps_per_phase, 0.0f);
   for (std::size_t i = 0; i < proto.size(); ++i) {
-    phases_[i % interp][i / interp] = proto[i];
+    phases_[(i % interp) * taps_per_phase + i / interp] = proto[i];
   }
-  window_.assign(taps_per_phase_, cfloat{0.0f, 0.0f});
+  history_.assign(taps_per_phase_ - 1, cfloat{0.0f, 0.0f});
 }
 
 void RationalResampler::Reset() {
-  std::fill(window_.begin(), window_.end(), cfloat{0.0f, 0.0f});
-  filled_ = 0;
+  std::fill(history_.begin(), history_.end(), cfloat{0.0f, 0.0f});
   phase_acc_ = 0;
 }
 
 void RationalResampler::Process(const_sample_span input, SampleVec& out) {
-  for (const cfloat x : input) {
-    // Slide the window: newest sample at the back.
-    std::move(window_.begin() + 1, window_.end(), window_.begin());
-    window_.back() = x;
-    if (filled_ < taps_per_phase_) ++filled_;
-    // Each input sample advances the virtual upsampled stream by `interp_`
-    // positions; emit an output for every `decim_` positions passed.
-    while (phase_acc_ < interp_) {
-      const auto& taps = phases_[phase_acc_];
-      cfloat acc{0.0f, 0.0f};
-      // taps[k] applies to x[n-k] == window_[taps_per_phase_-1-k].
-      for (std::size_t k = 0; k < taps_per_phase_; ++k) {
-        acc += taps[k] * window_[taps_per_phase_ - 1 - k];
-      }
-      out.push_back(acc);
-      phase_acc_ += decim_;
-    }
-    phase_acc_ -= interp_;
+  // Output t of a piece sits at upsampled position phase_acc_ + t * decim,
+  // counted in input samples times interp from the piece's first input.
+  // Pieces are bounded so the scratch stays small; where they are cut does
+  // not change the output.
+  constexpr std::size_t kPiece = 1 << 14;
+  const std::size_t hist = history_.size();
+  struct WorkTag {};
+  struct PlanesTag {};
+  auto& work = util::Scratch<cfloat, WorkTag>();
+  auto& planes = util::Scratch<cfloat, PlanesTag>();
+  while (!input.empty()) {
+    const const_sample_span piece = input.first(std::min(input.size(), kPiece));
+    input = input.subspan(piece.size());
+    // [history | piece] is the contiguous buffer the kernel reads.
+    work.assign(history_.begin(), history_.end());
+    work.insert(work.end(), piece.begin(), piece.end());
+    const std::size_t span = piece.size() * interp_;
+    const std::size_t n_out =
+        span > phase_acc_ ? (span - phase_acc_ + decim_ - 1) / decim_ : 0;
+    planes.resize(simd::PolyphasePlanesSize(work.size(), decim_));
+    const std::size_t start = out.size();
+    out.resize(start + n_out);
+    simd::Active().polyphase_resample(work.data(), work.size(), n_out,
+                                      phase_acc_, interp_, decim_,
+                                      phases_.data(), taps_per_phase_,
+                                      planes.data(), out.data() + start);
+    phase_acc_ = phase_acc_ + n_out * decim_ - span;
+    std::copy(work.end() - static_cast<std::ptrdiff_t>(hist), work.end(),
+              history_.begin());
   }
 }
 

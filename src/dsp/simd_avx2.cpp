@@ -87,8 +87,27 @@ void Avx2CorrelateChips(const cfloat* x, std::size_t n_out, const int* chips,
 
 void Avx2FirComplex(const cfloat* work, std::size_t n_out, const float* taps,
                     std::size_t n_taps, cfloat* out) {
+  // 16 outputs per pass: four independent accumulators share each tap
+  // broadcast, which hides the add latency of the per-output chain.
+  const std::size_t wide = n_out - n_out % 16;
+  for (std::size_t n = 0; n < wide; n += 16) {
+    __m256 a0 = _mm256_setzero_ps(), a1 = _mm256_setzero_ps();
+    __m256 a2 = _mm256_setzero_ps(), a3 = _mm256_setzero_ps();
+    for (std::size_t k = 0; k < n_taps; ++k) {
+      const __m256 t = _mm256_set1_ps(taps[k]);
+      const float* v = F(work + n + (n_taps - 1 - k));
+      a0 = _mm256_add_ps(a0, _mm256_mul_ps(t, _mm256_loadu_ps(v)));
+      a1 = _mm256_add_ps(a1, _mm256_mul_ps(t, _mm256_loadu_ps(v + 8)));
+      a2 = _mm256_add_ps(a2, _mm256_mul_ps(t, _mm256_loadu_ps(v + 16)));
+      a3 = _mm256_add_ps(a3, _mm256_mul_ps(t, _mm256_loadu_ps(v + 24)));
+    }
+    _mm256_storeu_ps(F(out + n), a0);
+    _mm256_storeu_ps(F(out + n + 4), a1);
+    _mm256_storeu_ps(F(out + n + 8), a2);
+    _mm256_storeu_ps(F(out + n + 12), a3);
+  }
   const std::size_t body = n_out - n_out % 4;
-  for (std::size_t n = 0; n < body; n += 4) {
+  for (std::size_t n = wide; n < body; n += 4) {
     __m256 acc = _mm256_setzero_ps();
     for (std::size_t k = 0; k < n_taps; ++k) {
       const __m256 t = _mm256_set1_ps(taps[k]);
@@ -226,12 +245,54 @@ cfloat Avx2ConjMulSum(const cfloat* x, std::size_t n) {
   return {sr, si};
 }
 
+/// Four interleaved complex samples per register for PolyphaseResample.
+struct AvxComplexTraits {
+  using VC = __m256;
+  static constexpr std::size_t kLanes = 4;
+
+  static VC Zero() { return _mm256_setzero_ps(); }
+  static VC Set1(float v) { return _mm256_set1_ps(v); }
+  static VC Load(const cfloat* p) { return _mm256_loadu_ps(F(p)); }
+  static VC Add(VC a, VC b) { return _mm256_add_ps(a, b); }
+  static VC Mul(VC a, VC b) { return _mm256_mul_ps(a, b); }
+  static void Scatter(VC v, cfloat* out, std::size_t stride) {
+    const __m128 lo = _mm256_castps256_ps128(v);
+    const __m128 hi = _mm256_extractf128_ps(v, 1);
+    _mm_storel_pi(reinterpret_cast<__m64*>(out), lo);
+    _mm_storeh_pi(reinterpret_cast<__m64*>(out + stride), lo);
+    _mm_storel_pi(reinterpret_cast<__m64*>(out + 2 * stride), hi);
+    _mm_storeh_pi(reinterpret_cast<__m64*>(out + 3 * stride), hi);
+  }
+};
+
+void Avx2PolyphaseResample(const cfloat* work, std::size_t n_work,
+                           std::size_t n_out, std::size_t phase0,
+                           std::size_t interp, std::size_t decim,
+                           const float* taps, std::size_t n_taps,
+                           cfloat* planes, cfloat* out) {
+  PolyphaseResample<AvxComplexTraits>(work, n_work, n_out, phase0, interp,
+                                      decim, taps, n_taps, planes, out);
+}
+
+void Avx2SliceBytes(const float* f, std::size_t n_sym, std::uint8_t* out) {
+  const __m256 zero = _mm256_setzero_ps();
+  for (std::size_t m = 0; m < n_sym; ++m) {
+    const float* c = f + 8 * m;
+    const __m256 v = _mm256_add_ps(
+        _mm256_add_ps(_mm256_loadu_ps(c - 1), _mm256_loadu_ps(c)),
+        _mm256_loadu_ps(c + 1));
+    out[m] = static_cast<std::uint8_t>(
+        _mm256_movemask_ps(_mm256_cmp_ps(v, zero, _CMP_GT_OQ)));
+  }
+}
+
 }  // namespace
 
 const Kernels kAvx2Kernels = {
     Tier::kAvx2,       &Avx2CorrelateChips, &Avx2FirComplex,
     &Avx2PhaseDiff,    &Avx2InstantPhase,   &Avx2SumFinitePower,
     &Avx2PowerPlane,   &Avx2HealthScan,     &Avx2ConjMulSum,
+    &Avx2PolyphaseResample, &Avx2SliceBytes,
 };
 
 const bool kAvx2Built = true;

@@ -16,9 +16,10 @@
 //      "natural" width — so changing the register width cannot change the
 //      FP association.
 //
-// Per-output kernels (correlate_chips, fir_complex) accumulate in ascending
-// k order per output, which is the exact order of the pre-SIMD scalar code:
-// those kernels are additionally bit-identical to the historical seed path.
+// Per-output kernels (correlate_chips, fir_complex, polyphase_resample)
+// accumulate in ascending k order per output, which is the exact order of
+// the pre-SIMD scalar code: those kernels are additionally bit-identical to
+// the historical seed path.
 
 #include <bit>
 #include <cstddef>
@@ -290,6 +291,143 @@ inline cfloat ScalarConjMulSum(const cfloat* x, std::size_t n) {
   return {sr, si};
 }
 
+// --------------------------------------------------- polyphase_resample
+//
+// Position of output t: u = phase0 + t * decim, input n = u / interp, tap
+// phase p = u % interp. Stepping one output adds decim to u, i.e. (dq, dr) =
+// (decim / interp, decim % interp) to (n, p) with a carry.
+
+struct PolyphaseCursor {
+  std::size_t n;  // input index
+  std::size_t p;  // tap phase
+  void Step(std::size_t dq, std::size_t dr, std::size_t interp) {
+    n += dq;
+    p += dr;
+    if (p >= interp) {
+      p -= interp;
+      ++n;
+    }
+  }
+};
+
+/// Outputs [t, n_out) one at a time from `cur` (the position of output t).
+inline void ScalarPolyphaseFrom(const cfloat* work, std::size_t t,
+                                std::size_t n_out, PolyphaseCursor cur,
+                                std::size_t interp, std::size_t decim,
+                                const float* taps, std::size_t n_taps,
+                                cfloat* out) {
+  const std::size_t dq = decim / interp, dr = decim % interp;
+  for (; t < n_out; ++t) {
+    out[t] = ScalarFirOne(work + cur.n, taps + cur.p * n_taps, n_taps);
+    cur.Step(dq, dr, interp);
+  }
+}
+
+inline void ScalarPolyphaseResample(const cfloat* work, std::size_t /*n_work*/,
+                                    std::size_t n_out, std::size_t phase0,
+                                    std::size_t interp, std::size_t decim,
+                                    const float* taps, std::size_t n_taps,
+                                    cfloat* /*planes*/, cfloat* out) {
+  ScalarPolyphaseFrom(work, 0, n_out, {phase0 / interp, phase0 % interp},
+                      interp, decim, taps, n_taps, out);
+}
+
+/// Vector tiers. `T` holds T::kLanes complex samples per register (T::VC)
+/// with Zero/Set1/Load/Add/Mul and Scatter(v, out, stride), which stores
+/// lane w to out[w * stride]. A tile is interp * kLanes outputs: lane w of
+/// step j is output t0 + j + w * interp, whose input sits w * decim after
+/// lane 0's, so each tap is one contiguous load from plane (input index %
+/// decim). A pass runs kTiles tiles that share each tap broadcast, which
+/// gives kTiles independent accumulators. Each lane accumulates k ascending
+/// from zero with separate mul and add, the exact ScalarFirOne sequence;
+/// outputs after the last whole pass run through ScalarFirOne itself.
+template <class T>
+void PolyphaseResample(const cfloat* work, std::size_t n_work,
+                       std::size_t n_out, std::size_t phase0,
+                       std::size_t interp, std::size_t decim,
+                       const float* taps, std::size_t n_taps, cfloat* planes,
+                       cfloat* out) {
+  constexpr std::size_t kLanes = T::kLanes;
+  constexpr std::size_t kTiles = 4;
+  const std::size_t pass = kTiles * kLanes * interp;
+  const std::size_t body = n_out - n_out % pass;
+  const std::size_t dq = decim / interp, dr = decim % interp;
+  PolyphaseCursor base{phase0 / interp, phase0 % interp};
+  if (body > 0) {
+    // Plane r holds work[r], work[r + decim], ... at planes[r * stride + i].
+    const std::size_t stride = PolyphasePlaneStride(n_work, decim);
+    for (std::size_t idx = 0, r = 0, i = 0; idx < n_work; ++idx) {
+      planes[r * stride + i] = work[idx];
+      if (++r == decim) {
+        r = 0;
+        ++i;
+      }
+    }
+    // Plane coordinates of work index base.n + n_taps - 1, the newest input
+    // tap of the pass's first output.
+    const std::size_t base_r = (base.n + n_taps - 1) % decim;
+    std::size_t base_i = (base.n + n_taps - 1) / decim;
+    for (std::size_t t0 = 0; t0 < body; t0 += pass) {
+      PolyphaseCursor cur = base;
+      std::size_t r0 = base_r, i0 = base_i;
+      for (std::size_t j = 0; j < interp; ++j) {
+        const float* ph = taps + cur.p * n_taps;
+        // The g loops are unrolled so the accumulators stay in registers.
+        typename T::VC acc[kTiles];
+#pragma GCC unroll 4
+        for (std::size_t g = 0; g < kTiles; ++g) acc[g] = T::Zero();
+        std::size_t r = r0, i = i0;
+        for (std::size_t k = 0; k < n_taps; ++k) {
+          const typename T::VC tap = T::Set1(ph[k]);
+          const cfloat* src = planes + r * stride + i;
+#pragma GCC unroll 4
+          for (std::size_t g = 0; g < kTiles; ++g) {
+            acc[g] = T::Add(acc[g], T::Mul(tap, T::Load(src + g * kLanes)));
+          }
+          // Next tap reads one input earlier (branch-free: the wrap pattern
+          // changes with j and would defeat the predictor).
+          const std::size_t wrap = r == 0 ? 1 : 0;
+          r = r + wrap * decim - 1;
+          i -= wrap;
+        }
+#pragma GCC unroll 4
+        for (std::size_t g = 0; g < kTiles; ++g) {
+          T::Scatter(acc[g], out + t0 + g * kLanes * interp + j, interp);
+        }
+        const std::size_t n_before = cur.n;
+        cur.Step(dq, dr, interp);
+        r0 += cur.n - n_before;
+        while (r0 >= decim) {
+          r0 -= decim;
+          ++i0;
+        }
+      }
+      // The next pass starts kTiles * kLanes * decim inputs later, at the
+      // same tap phase.
+      base.n += kTiles * kLanes * decim;
+      base_i += kTiles * kLanes;
+    }
+  }
+  ScalarPolyphaseFrom(work, body, n_out, base, interp, decim, taps, n_taps,
+                      out);
+}
+
+// ---------------------------------------------------------- slice_bytes
+
+inline std::uint8_t ScalarSliceByte(const float* f) {
+  std::uint8_t b = 0;
+  for (int r = 0; r < 8; ++r) {
+    const float v = f[r - 1] + f[r] + f[r + 1];
+    b |= static_cast<std::uint8_t>((v > 0.0f ? 1 : 0) << r);
+  }
+  return b;
+}
+
+inline void ScalarSliceBytes(const float* f, std::size_t n_sym,
+                             std::uint8_t* out) {
+  for (std::size_t m = 0; m < n_sym; ++m) out[m] = ScalarSliceByte(f + 8 * m);
+}
+
 // Tier tables with external linkage: scalar is defined below (constexpr in
 // this header); SSE2/AVX2 are defined in their arch-specific TUs. These
 // declarations give the out-of-line definitions external linkage.
@@ -303,6 +441,7 @@ inline constexpr Kernels kScalarKernels = {
     Tier::kScalar,        &ScalarCorrelateChips, &ScalarFirComplex,
     &ScalarPhaseDiff,     &ScalarInstantPhase,   &ScalarSumFinitePower,
     &ScalarPowerPlane,    &ScalarHealthScan,     &ScalarConjMulSum,
+    &ScalarPolyphaseResample, &ScalarSliceBytes,
 };
 
 }  // namespace rfdump::dsp::simd::detail

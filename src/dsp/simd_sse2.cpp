@@ -83,8 +83,27 @@ void Sse2CorrelateChips(const cfloat* x, std::size_t n_out, const int* chips,
 
 void Sse2FirComplex(const cfloat* work, std::size_t n_out, const float* taps,
                     std::size_t n_taps, cfloat* out) {
+  // 8 outputs per pass: four independent accumulators share each tap
+  // broadcast, which hides the add latency of the per-output chain.
+  const std::size_t wide = n_out - n_out % 8;
+  for (std::size_t n = 0; n < wide; n += 8) {
+    __m128 a0 = _mm_setzero_ps(), a1 = _mm_setzero_ps();
+    __m128 a2 = _mm_setzero_ps(), a3 = _mm_setzero_ps();
+    for (std::size_t k = 0; k < n_taps; ++k) {
+      const __m128 t = _mm_set1_ps(taps[k]);
+      const float* v = F(work + n + (n_taps - 1 - k));
+      a0 = _mm_add_ps(a0, _mm_mul_ps(t, _mm_loadu_ps(v)));
+      a1 = _mm_add_ps(a1, _mm_mul_ps(t, _mm_loadu_ps(v + 4)));
+      a2 = _mm_add_ps(a2, _mm_mul_ps(t, _mm_loadu_ps(v + 8)));
+      a3 = _mm_add_ps(a3, _mm_mul_ps(t, _mm_loadu_ps(v + 12)));
+    }
+    _mm_storeu_ps(F(out + n), a0);
+    _mm_storeu_ps(F(out + n + 2), a1);
+    _mm_storeu_ps(F(out + n + 4), a2);
+    _mm_storeu_ps(F(out + n + 6), a3);
+  }
   const std::size_t body = n_out - n_out % 2;
-  for (std::size_t n = 0; n < body; n += 2) {
+  for (std::size_t n = wide; n < body; n += 2) {
     __m128 acc = _mm_setzero_ps();
     for (std::size_t k = 0; k < n_taps; ++k) {
       const __m128 t = _mm_set1_ps(taps[k]);
@@ -224,12 +243,53 @@ cfloat Sse2ConjMulSum(const cfloat* x, std::size_t n) {
   return {sr, si};
 }
 
+/// Two interleaved complex samples per register for PolyphaseResample.
+struct SseComplexTraits {
+  using VC = __m128;
+  static constexpr std::size_t kLanes = 2;
+
+  static VC Zero() { return _mm_setzero_ps(); }
+  static VC Set1(float v) { return _mm_set1_ps(v); }
+  static VC Load(const cfloat* p) { return _mm_loadu_ps(F(p)); }
+  static VC Add(VC a, VC b) { return _mm_add_ps(a, b); }
+  static VC Mul(VC a, VC b) { return _mm_mul_ps(a, b); }
+  static void Scatter(VC v, cfloat* out, std::size_t stride) {
+    _mm_storel_pi(reinterpret_cast<__m64*>(out), v);
+    _mm_storeh_pi(reinterpret_cast<__m64*>(out + stride), v);
+  }
+};
+
+void Sse2PolyphaseResample(const cfloat* work, std::size_t n_work,
+                           std::size_t n_out, std::size_t phase0,
+                           std::size_t interp, std::size_t decim,
+                           const float* taps, std::size_t n_taps,
+                           cfloat* planes, cfloat* out) {
+  PolyphaseResample<SseComplexTraits>(work, n_work, n_out, phase0, interp,
+                                      decim, taps, n_taps, planes, out);
+}
+
+void Sse2SliceBytes(const float* f, std::size_t n_sym, std::uint8_t* out) {
+  const __m128 zero = _mm_setzero_ps();
+  for (std::size_t m = 0; m < n_sym; ++m) {
+    const float* c = f + 8 * m;
+    const __m128 lo = _mm_add_ps(
+        _mm_add_ps(_mm_loadu_ps(c - 1), _mm_loadu_ps(c)), _mm_loadu_ps(c + 1));
+    const __m128 hi = _mm_add_ps(
+        _mm_add_ps(_mm_loadu_ps(c + 3), _mm_loadu_ps(c + 4)),
+        _mm_loadu_ps(c + 5));
+    out[m] = static_cast<std::uint8_t>(
+        _mm_movemask_ps(_mm_cmpgt_ps(lo, zero)) |
+        (_mm_movemask_ps(_mm_cmpgt_ps(hi, zero)) << 4));
+  }
+}
+
 }  // namespace
 
 const Kernels kSse2Kernels = {
     Tier::kSse2,       &Sse2CorrelateChips, &Sse2FirComplex,
     &Sse2PhaseDiff,    &Sse2InstantPhase,   &Sse2SumFinitePower,
     &Sse2PowerPlane,   &Sse2HealthScan,     &Sse2ConjMulSum,
+    &Sse2PolyphaseResample, &Sse2SliceBytes,
 };
 
 }  // namespace rfdump::dsp::simd::detail

@@ -1,6 +1,7 @@
 #include "rfdump/phybt/packet.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 
 #include "rfdump/util/crc.hpp"
@@ -16,8 +17,8 @@ constexpr std::uint64_t kBchGenerator = 0260534236651ull;
 // bit 0 transmitted first).
 constexpr std::uint64_t kPnSequence = 0x83848D96BBCC54FCull;
 
-// GF(2) polynomial remainder of info*x^34 mod g(x).
-std::uint64_t BchParity(std::uint64_t info30) {
+// GF(2) polynomial remainder of info*x^34 mod g(x), one bit at a time.
+constexpr std::uint64_t BchParityBitwise(std::uint64_t info30) {
   std::uint64_t reg = info30 << 34;
   for (int bit = 63; bit >= 34; --bit) {
     if (reg & (1ull << bit)) {
@@ -27,7 +28,30 @@ std::uint64_t BchParity(std::uint64_t info30) {
   return reg;  // 34-bit remainder
 }
 
+// kBchByteParity[b][v]: parity of byte value v at byte b of the info word,
+// computed at compile time.
+using BchTables = std::array<std::array<std::uint64_t, 256>, 4>;
+constexpr BchTables MakeBchTables() {
+  BchTables t{};
+  for (std::size_t b = 0; b < 4; ++b) {
+    for (std::uint64_t v = 0; v < 256; ++v) {
+      t[b][v] = BchParityBitwise(v << (8 * b));
+    }
+  }
+  return t;
+}
+constexpr BchTables kBchByteParity = MakeBchTables();
+
 }  // namespace
+
+std::uint64_t BchParity(std::uint64_t info30) {
+  // Bits above 29 fall off the top of info30 << 34 in the bitwise form.
+  info30 &= 0x3FFFFFFFull;
+  return kBchByteParity[0][info30 & 0xFF] ^
+         kBchByteParity[1][(info30 >> 8) & 0xFF] ^
+         kBchByteParity[2][(info30 >> 16) & 0xFF] ^
+         kBchByteParity[3][info30 >> 24];
+}
 
 const char* PacketTypeName(PacketType t) {
   switch (t) {

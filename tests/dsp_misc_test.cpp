@@ -1,7 +1,9 @@
 // Tests for phase utilities, resampler, decimator, NCO, Barker correlator,
 // energy estimators, windows, dB helpers and the RNG.
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <gtest/gtest.h>
 #include <limits>
 
@@ -214,8 +216,11 @@ TEST(Resampler, StreamingMatchesOneShot) {
   }
   ASSERT_EQ(pos, x.size());
   ASSERT_EQ(got.size(), expect.size());
+  // Bitwise: chunk boundaries must not change a single output bit.
   for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_NEAR(std::abs(got[i] - expect[i]), 0.0f, 1e-5f) << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+              std::bit_cast<std::uint64_t>(expect[i]))
+        << i;
   }
 }
 
@@ -358,6 +363,32 @@ TEST(Energy, MovingAverageTracksStep) {
   EXPECT_NEAR(ma.Average(), 1.0f, 1e-6f);  // window fully in the step
   ma.Reset();
   EXPECT_EQ(ma.Average(), 0.0f);
+}
+
+TEST(Energy, MovingAveragePushBlockMatchesPush) {
+  // Past the 2^20-push rebuild, in ragged blocks, for a power-of-two window
+  // (the reciprocal-multiply path) and another one.
+  rfdump::util::Xoshiro256 rng(77);
+  std::vector<float> power((std::size_t{1} << 20) + 5000);
+  for (auto& p : power) p = static_cast<float>(rng.UniformDouble() * 3.0);
+  for (std::size_t window : {16u, 20u}) {
+    dsp::MovingAveragePower one(window), block(window);
+    std::vector<float> expect(power.size()), got(power.size());
+    for (std::size_t i = 0; i < power.size(); ++i) expect[i] = one.Push(power[i]);
+    for (std::size_t pos = 0; pos < power.size();) {
+      const std::size_t n = std::min<std::size_t>(
+          rng.UniformInt(0, 70000), power.size() - pos);
+      block.PushBlock(std::span<const float>(power).subspan(pos, n),
+                      got.data() + pos);
+      pos += n;
+    }
+    for (std::size_t i = 0; i < power.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(got[i]),
+                std::bit_cast<std::uint32_t>(expect[i]))
+          << "window=" << window << " i=" << i;
+    }
+    EXPECT_EQ(block.Average(), one.Average());
+  }
 }
 
 TEST(Energy, RejectsZeroWindow) {

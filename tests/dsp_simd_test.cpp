@@ -7,14 +7,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <vector>
 
 #include "rfdump/dsp/barker.hpp"
 #include "rfdump/dsp/fir.hpp"
+#include "rfdump/dsp/resampler.hpp"
 #include "rfdump/dsp/simd.hpp"
 #include "rfdump/dsp/types.hpp"
 
@@ -278,6 +281,207 @@ TEST_P(DspSimdTierSweep, ConjMulSumBitExact) {
           << "tier=" << TierName(tier()) << " len=" << len << " off=" << off;
     }
   }
+}
+
+TEST_P(DspSimdTierSweep, SliceBytesBitExact) {
+  const Kernels& vec = Table(tier());
+  std::mt19937 rng(808);
+  std::uniform_real_distribution<float> amp(-1.0f, 1.0f);
+  for (bool specials : {false, true}) {
+    for (std::size_t off : kOffsets) {
+      for (std::size_t n_sym : {0u, 1u, 2u, 3u, 7u, 33u}) {
+        std::vector<float> f(off + 8 * n_sym + 2);
+        for (auto& v : f) v = amp(rng);
+        if (specials) {
+          for (std::size_t i = 0; i < f.size(); i += 5) {
+            f[i] = i % 3 == 0 ? std::numeric_limits<float>::quiet_NaN()
+                   : i % 3 == 1 ? -0.0f
+                                : std::numeric_limits<float>::infinity();
+          }
+        }
+        const float* base = f.data() + off + 1;
+        std::vector<std::uint8_t> got(n_sym, 0xA5);
+        vec.slice_bytes(base, n_sym, got.data());
+        for (std::size_t m = 0; m < n_sym; ++m) {
+          std::uint8_t expect = 0;
+          for (std::size_t r = 0; r < 8; ++r) {
+            const float* c = base + 8 * m + r;
+            if (c[-1] + c[0] + c[1] > 0.0f) expect |= 1u << r;
+          }
+          ASSERT_EQ(got[m], expect)
+              << "tier=" << TierName(tier()) << " m=" << m << " off=" << off
+              << " specials=" << specials;
+        }
+      }
+    }
+  }
+}
+
+// --- polyphase_resample ------------------------------------------------------
+
+/// The historical RationalResampler (per-sample window shift, one output at a
+/// time, k ascending), kept verbatim as the bit-level reference every tier of
+/// polyphase_resample and the kernel-backed RationalResampler must match.
+class SeedResampler {
+ public:
+  SeedResampler(std::size_t interp, std::size_t decim,
+                std::size_t taps_per_phase = 12)
+      : interp_(interp), decim_(decim), taps_per_phase_(taps_per_phase) {
+    const double composite_rate = static_cast<double>(interp);
+    const double cutoff =
+        0.5 / static_cast<double>(std::max(interp, decim)) * composite_rate;
+    auto proto = DesignLowPass(cutoff, composite_rate,
+                               interp * taps_per_phase,
+                               WindowType::kBlackmanHarris);
+    for (auto& t : proto) t *= static_cast<float>(interp);
+    phases_.assign(interp, std::vector<float>(taps_per_phase, 0.0f));
+    for (std::size_t i = 0; i < proto.size(); ++i) {
+      phases_[i % interp][i / interp] = proto[i];
+    }
+    window_.assign(taps_per_phase_, cfloat{0.0f, 0.0f});
+  }
+
+  void Process(std::span<const cfloat> input, std::vector<cfloat>& out) {
+    for (const cfloat x : input) {
+      std::move(window_.begin() + 1, window_.end(), window_.begin());
+      window_.back() = x;
+      while (phase_acc_ < interp_) {
+        const auto& taps = phases_[phase_acc_];
+        cfloat acc{0.0f, 0.0f};
+        for (std::size_t k = 0; k < taps_per_phase_; ++k) {
+          acc += taps[k] * window_[taps_per_phase_ - 1 - k];
+        }
+        out.push_back(acc);
+        phase_acc_ += decim_;
+      }
+      phase_acc_ -= interp_;
+    }
+  }
+
+  /// Phase-major copy of the taps, the layout the kernel takes.
+  std::vector<float> FlatTaps() const {
+    std::vector<float> flat;
+    for (const auto& phase : phases_) {
+      flat.insert(flat.end(), phase.begin(), phase.end());
+    }
+    return flat;
+  }
+
+ private:
+  std::size_t interp_, decim_, taps_per_phase_;
+  std::vector<std::vector<float>> phases_;
+  std::vector<cfloat> window_;
+  std::size_t phase_acc_ = 0;
+};
+
+struct Ratio {
+  std::size_t interp, decim;
+};
+// The 802.11 demodulator's 11/8, the modulator's 8/11, and 3/2.
+constexpr Ratio kRatios[] = {{11, 8}, {8, 11}, {3, 2}};
+
+std::size_t PolyphaseOutputs(std::size_t n_in, std::size_t phase0,
+                             std::size_t interp, std::size_t decim) {
+  const std::size_t span = n_in * interp;
+  return span > phase0 ? (span - phase0 + decim - 1) / decim : 0;
+}
+
+TEST_P(DspSimdTierSweep, PolyphaseResampleMatchesSeedLoop) {
+  const Kernels& vec = Table(tier());
+  std::mt19937 rng(909);
+  std::uniform_int_distribution<std::size_t> len_dist(0, 700);
+  for (const Ratio ratio : kRatios) {
+    constexpr std::size_t kTaps = 12;
+    const std::vector<float> taps =
+        SeedResampler(ratio.interp, ratio.decim, kTaps).FlatTaps();
+    for (bool specials : {false, true}) {
+      for (std::size_t off : kOffsets) {
+        for (int trial = 0; trial < 12; ++trial) {
+          const std::size_t len = trial < 4 ? static_cast<std::size_t>(trial)
+                                            : len_dist(rng);
+          const auto input = RandomSamples(rng, len, specials);
+          std::vector<cfloat> expect;
+          SeedResampler(ratio.interp, ratio.decim, kTaps)
+              .Process(input, expect);
+          // [zero history | input] at a misaligned base address.
+          std::vector<cfloat> buf(off + kTaps - 1 + len);
+          std::copy(input.begin(), input.end(), buf.begin() + off + kTaps - 1);
+          const std::size_t n_work = kTaps - 1 + len;
+          const std::size_t n_out =
+              PolyphaseOutputs(len, 0, ratio.interp, ratio.decim);
+          std::vector<cfloat> planes(PolyphasePlanesSize(n_work, ratio.decim));
+          std::vector<cfloat> got(n_out);
+          vec.polyphase_resample(buf.data() + off, n_work, n_out, 0,
+                                 ratio.interp, ratio.decim, taps.data(), kTaps,
+                                 planes.data(), got.data());
+          ASSERT_TRUE(BitEqual(got, expect, "polyphase_resample"))
+              << "tier=" << TierName(tier()) << " " << ratio.interp << "/"
+              << ratio.decim << " len=" << len << " off=" << off
+              << " specials=" << specials;
+        }
+      }
+    }
+  }
+}
+
+TEST_P(DspSimdTierSweep, PolyphaseResampleAnyStartPhase) {
+  const Kernels& ref = Table(Tier::kScalar);
+  const Kernels& vec = Table(tier());
+  std::mt19937 rng(910);
+  for (const Ratio ratio : kRatios) {
+    const std::vector<float> taps =
+        SeedResampler(ratio.interp, ratio.decim, 7).FlatTaps();
+    for (std::size_t phase0 = 0; phase0 < ratio.interp + ratio.decim;
+         ++phase0) {
+      for (std::size_t len : kLengths) {
+        const auto work = RandomSamples(rng, 6 + len, true);
+        const std::size_t n_out =
+            PolyphaseOutputs(len, phase0, ratio.interp, ratio.decim);
+        std::vector<cfloat> planes(
+            PolyphasePlanesSize(work.size(), ratio.decim));
+        std::vector<cfloat> a(n_out), b(n_out);
+        ref.polyphase_resample(work.data(), work.size(), n_out, phase0,
+                               ratio.interp, ratio.decim, taps.data(), 7,
+                               planes.data(), a.data());
+        vec.polyphase_resample(work.data(), work.size(), n_out, phase0,
+                               ratio.interp, ratio.decim, taps.data(), 7,
+                               planes.data(), b.data());
+        ASSERT_TRUE(BitEqual(a, b, "polyphase_resample"))
+            << "tier=" << TierName(tier()) << " " << ratio.interp << "/"
+            << ratio.decim << " phase0=" << phase0 << " len=" << len;
+      }
+    }
+  }
+}
+
+TEST_P(DspSimdTierSweep, ResamplerChunkedStreamMatchesSeedLoop) {
+  ForceTier(tier());
+  std::mt19937 rng(911);
+  std::uniform_int_distribution<std::size_t> chunk_dist(0, 2500);
+  for (const Ratio ratio : kRatios) {
+    for (bool specials : {false, true}) {
+      const auto input = RandomSamples(rng, 40000, specials);
+      std::vector<cfloat> expect;
+      SeedResampler(ratio.interp, ratio.decim).Process(input, expect);
+      RationalResampler rs(ratio.interp, ratio.decim);
+      std::vector<cfloat> got;
+      for (std::size_t pos = 0; pos < input.size();) {
+        const std::size_t n = std::min(chunk_dist(rng), input.size() - pos);
+        rs.Process(std::span<const cfloat>(input).subspan(pos, n), got);
+        pos += n;
+      }
+      EXPECT_TRUE(BitEqual(got, expect, "RationalResampler"))
+          << "tier=" << TierName(tier()) << " " << ratio.interp << "/"
+          << ratio.decim << " specials=" << specials;
+      // One call longer than the resampler's internal piece size.
+      EXPECT_TRUE(BitEqual(
+          RationalResampler(ratio.interp, ratio.decim).Resampled(input),
+          expect, "RationalResampler one-shot"))
+          << "tier=" << TierName(tier()) << " " << ratio.interp << "/"
+          << ratio.decim << " specials=" << specials;
+    }
+  }
+  ClearForcedTier();
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTiers, DspSimdTierSweep,

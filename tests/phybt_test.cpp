@@ -1,14 +1,20 @@
 // Bluetooth PHY/baseband tests: sync word code properties, whitening, FEC,
 // packet bit round trips, GFSK loopback and the full band demodulator.
 
+#include <algorithm>
 #include <bit>
 #include <gtest/gtest.h>
+#include <limits>
+#include <stdexcept>
+#include <thread>
 
 #include "rfdump/channel/channel.hpp"
 #include "rfdump/dsp/energy.hpp"
+#include "rfdump/dsp/fir.hpp"
 #include "rfdump/dsp/phase.hpp"
 #include "rfdump/dsp/nco.hpp"
 #include "rfdump/phybt/demodulator.hpp"
+#include "rfdump/phybt/front_end.hpp"
 #include "rfdump/phybt/gfsk.hpp"
 #include "rfdump/phybt/hopping.hpp"
 #include "rfdump/phybt/modulator.hpp"
@@ -63,6 +69,30 @@ TEST(SyncWord, RandomWordsRejected) {
   }
   // 34 parity bits: false accept probability ~6e-11 per word.
   EXPECT_EQ(false_accepts, 0);
+}
+
+// Copy of the historical bit-at-a-time parity, the table's reference.
+std::uint64_t BitwiseBchParity(std::uint64_t info30) {
+  constexpr std::uint64_t kGenerator = 0260534236651ull;
+  std::uint64_t reg = info30 << 34;
+  for (int bit = 63; bit >= 34; --bit) {
+    if (reg & (1ull << bit)) reg ^= kGenerator << (bit - 34);
+  }
+  return reg;
+}
+
+TEST(SyncWord, TableBchParityMatchesBitwiseLoop) {
+  for (int bit = 0; bit < 64; ++bit) {
+    EXPECT_EQ(bt::BchParity(1ull << bit), BitwiseBchParity(1ull << bit))
+        << "bit " << bit;
+  }
+  util::Xoshiro256 rng(31);
+  for (int i = 0; i < 100000; ++i) {
+    const std::uint64_t w = rng();
+    ASSERT_EQ(bt::BchParity(w), BitwiseBchParity(w)) << std::hex << w;
+    ASSERT_EQ(bt::BchParity(w & 0x3FFFFFFF), BitwiseBchParity(w & 0x3FFFFFFF))
+        << std::hex << w;
+  }
 }
 
 // ---------------------------------------------------------------- whitening
@@ -285,6 +315,19 @@ TEST(BtDemod, SingleChannelModeOnlySeesItsChannel) {
   EXPECT_TRUE(wrong.DecodeAll(band).empty());
 }
 
+TEST(BtDemod, RejectsChannelIndexOutsideVisibleWindow) {
+  for (int idx : {bt::kVisibleChannels, bt::kVisibleChannels + 3, -2}) {
+    bt::Demodulator::Config cfg;
+    cfg.channel_index = idx;
+    EXPECT_THROW(bt::Demodulator{cfg}, std::invalid_argument) << idx;
+  }
+  for (int idx : {-1, 0, bt::kVisibleChannels - 1}) {
+    bt::Demodulator::Config cfg;
+    cfg.channel_index = idx;
+    EXPECT_NO_THROW(bt::Demodulator{cfg}) << idx;
+  }
+}
+
 TEST(BtDemod, NoiseOnlyFindsNothing) {
   dsp::SampleVec band(50000);
   util::Xoshiro256 rng(10);
@@ -306,6 +349,141 @@ TEST(BtDemod, OutOfBandHopNotCaptured) {
       EXPECT_TRUE(burst.samples.empty());
       EXPECT_EQ(burst.channel, ch);
       break;
+    }
+  }
+}
+
+// ------------------------------------------------------- GFSK front end
+
+std::uint64_t Bits(dsp::cfloat v) { return std::bit_cast<std::uint64_t>(v); }
+std::uint64_t Bits(float v) { return std::bit_cast<std::uint32_t>(v); }
+
+template <class A, class B>
+::testing::AssertionResult SameBits(const A& a, const B& b) {
+  if (a.size() != b.size()) {
+    return ::testing::AssertionFailure()
+           << "size " << a.size() << " vs " << b.size();
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (Bits(a[i]) != Bits(b[i])) {
+      return ::testing::AssertionFailure() << "first difference at " << i;
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Noise at 4 mixed levels, with runs of exact zeros and a few NaN/Inf.
+dsp::SampleVec FrontEndInput(std::size_t n, std::uint64_t seed) {
+  util::Xoshiro256 rng(seed);
+  dsp::SampleVec x(n);
+  rfdump::channel::AddAwgn(x, 1.0, rng);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto level = static_cast<float>(1u << ((i / 3000) % 4)) * 0.01f;
+    x[i] *= level;
+    if ((i / 5000) % 7 == 3) x[i] = {0.0f, 0.0f};
+    if (rng.UniformInt(0, 4000) == 0) {
+      x[i] = {std::numeric_limits<float>::quiet_NaN(), 1.0f};
+    }
+    if (rng.UniformInt(0, 4000) == 0) {
+      x[i] = {std::numeric_limits<float>::infinity(), 0.0f};
+    }
+  }
+  return x;
+}
+
+TEST(GfskFrontEnd, PhasorTableIsTheNcoSequence) {
+  for (double hz : {-3.5e6, 0.5e6, 3e6, 0.0}) {
+    const bt::PhasorTable table(hz, 1000);
+    dsp::Nco nco(hz, dsp::kSampleRateHz);
+    dsp::SampleVec expect(1000);
+    for (auto& v : expect) v = nco.Next();
+    EXPECT_TRUE(SameBits(table.phasors(), expect)) << hz;
+
+    // Mixing past the table's end continues the same oscillator.
+    const dsp::SampleVec x = FrontEndInput(2600, 5);
+    dsp::SampleVec mixed = x;
+    dsp::Nco(hz, dsp::kSampleRateHz).Mix(mixed);
+    dsp::SampleVec got(x.size());
+    table.MixInto(x, got.data());
+    EXPECT_TRUE(SameBits(got, mixed)) << hz;
+  }
+  // The shared table is the same sequence, over its whole length.
+  const auto shared = bt::SharedPhasorTable(-1.5e6).phasors();
+  ASSERT_EQ(shared.size(), bt::kPhasorTableSize);
+  dsp::Nco nco(-1.5e6, dsp::kSampleRateHz);
+  for (std::size_t n = 0; n < shared.size(); ++n) {
+    ASSERT_EQ(Bits(shared[n]), Bits(nco.Next())) << n;
+  }
+}
+
+TEST(GfskFrontEnd, SharedPhasorTableFirstUseFromManyThreads) {
+  // A frequency no other test uses, so the table is built here, raced.
+  constexpr double kHz = 1.25e6;
+  std::vector<const bt::PhasorTable*> seen(4, nullptr);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < seen.size(); ++t) {
+    threads.emplace_back([&seen, t] { seen[t] = &bt::SharedPhasorTable(kHz); });
+  }
+  for (auto& th : threads) th.join();
+  for (const auto* table : seen) EXPECT_EQ(table, seen[0]);
+  dsp::Nco nco(kHz, dsp::kSampleRateHz);
+  EXPECT_EQ(Bits(seen[0]->phasors()[0]), Bits(nco.Next()));
+}
+
+TEST(GfskFrontEnd, MatchesTheSeparateStageChain) {
+  // The chain the demodulators ran per channel before the shared front end.
+  const auto taps = dsp::DesignLowPass(600e3, dsp::kSampleRateHz, 21);
+  double tap_energy = 0.0;
+  for (float t : taps) tap_energy += static_cast<double>(t) * t;
+  for (std::size_t n : {2u, 600u, 9001u, 40000u}) {
+    const dsp::SampleVec x = FrontEndInput(n, n);
+    for (double mix_hz : {-3.5e6, 2.5e6, 3e6}) {
+      dsp::SampleVec ch = x;
+      dsp::Nco(mix_hz, dsp::kSampleRateHz).Mix(ch);
+      dsp::FirFilter lp(taps);
+      dsp::SampleVec filtered;
+      lp.Process(ch, filtered);
+      std::vector<float> freq;
+      bt::FmDiscriminateInto(filtered, freq);
+      dsp::MovingAveragePower ma(16);
+      std::vector<float> power(filtered.size());
+      for (std::size_t i = 0; i < filtered.size(); ++i) {
+        power[i] = ma.Push(dsp::FinitePower(filtered[i]));
+      }
+
+      const bt::GfskChannel got = bt::RunGfskFrontEnd(x, mix_hz, 0.0);
+      EXPECT_TRUE(SameBits(got.freq, freq)) << n << " " << mix_hz;
+      EXPECT_TRUE(SameBits(got.power, power)) << n << " " << mix_hz;
+
+      std::vector<float> probe;
+      for (std::size_t i = 0; i < power.size(); i += 64) {
+        probe.push_back(power[i]);
+      }
+      std::sort(probe.begin(), probe.end());
+      const std::size_t decile = std::max<std::size_t>(probe.size() / 10, 1);
+      double floor_est = 0.0;
+      for (std::size_t i = 0; i < decile; ++i) floor_est += probe[i];
+      floor_est /= static_cast<double>(decile);
+      EXPECT_EQ(got.gate,
+                static_cast<float>(std::max(floor_est * 4.0, 1e-12)));
+      EXPECT_EQ(bt::RunGfskFrontEnd(x, mix_hz, 0.02).gate,
+                static_cast<float>(std::max(0.02 * tap_energy * 4.0, 1e-12)));
+    }
+  }
+}
+
+TEST(GfskFrontEnd, SlicedWordMatchesSliceSymbolsEverywhere) {
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    const dsp::SampleVec x = FrontEndInput(30000 + 977 * seed, seed);
+    const bt::GfskChannel ch = bt::RunGfskFrontEnd(x, 0.5e6, 0.0);
+    for (std::size_t n : {32u, 64u}) {
+      const std::size_t last = ch.freq.size() - 2 - 8 * (n - 1);
+      for (std::size_t c = 1; c <= last; ++c) {
+        const util::BitVec bits = bt::SliceSymbols(ch.freq, c, n);
+        ASSERT_EQ(bits.size(), n);
+        ASSERT_EQ(ch.SlicedWord(c, n), util::BitsToUintLsbFirst(bits))
+            << "seed " << seed << " n " << n << " center " << c;
+      }
     }
   }
 }
