@@ -25,6 +25,7 @@
 #include "rfdump/obs/obs.hpp"
 #include "rfdump/phybt/demodulator.hpp"
 #include "rfdump/phybt/gfsk.hpp"
+#include "rfdump/phyzigbee/phy.hpp"
 #include "rfdump/util/rng.hpp"
 
 namespace dsp = rfdump::dsp;
@@ -177,10 +178,14 @@ double TimeKernel(F&& f, int inner = 64, int reps = 5) {
 struct KernelRow {
   const char* kernel = "";
   bool gate_member = false;  // counts toward the 2-of-4 speedup gate
+  const char* unit = "sample";  // what the ns figures are per
   double scalar_ns_per_sample = 0.0;
   double simd_ns_per_sample = 0.0;
   double speedup = 0.0;
 };
+
+// Samples per kernel call in the speedup table.
+constexpr std::size_t kN = 8192;
 
 int RunSpeedupTable() {
   bench::PrintHeader("DSP kernel speedup: scalar conformance tier vs best "
@@ -190,29 +195,29 @@ int RunSpeedupTable() {
   const simd::Kernels& fast = simd::Table(best_tier);
   std::printf("best tier: %s\n\n", simd::TierName(best_tier));
 
-  constexpr std::size_t kN = 8192;
   const auto x = NoiseBuffer(kN, 42);
   const auto taps = dsp::DesignLowPass(600e3, dsp::kSampleRateHz, 21);
   dsp::SampleVec cout_buf(kN);
   std::vector<float> fout_buf(kN);
 
   std::vector<KernelRow> rows;
-  auto measure = [&](const char* name, bool gate_member, auto&& run) {
+  auto measure = [&](const char* name, bool gate_member, auto&& run,
+                     std::size_t per = kN, const char* unit = "sample") {
     KernelRow row;
     row.kernel = name;
     row.gate_member = gate_member;
+    row.unit = unit;
     row.scalar_ns_per_sample =
-        TimeKernel([&] { run(scalar); }) * 1e9 / static_cast<double>(kN);
+        TimeKernel([&] { run(scalar); }) * 1e9 / static_cast<double>(per);
     row.simd_ns_per_sample =
-        TimeKernel([&] { run(fast); }) * 1e9 / static_cast<double>(kN);
+        TimeKernel([&] { run(fast); }) * 1e9 / static_cast<double>(per);
     row.speedup = row.simd_ns_per_sample > 0.0
                       ? row.scalar_ns_per_sample / row.simd_ns_per_sample
                       : 0.0;
-    std::printf("%-20s scalar %7.3f ns/sample  %s %7.3f ns/sample  -> "
-                "%5.2fx%s\n",
-                name, row.scalar_ns_per_sample, simd::TierName(best_tier),
-                row.simd_ns_per_sample, row.speedup,
-                gate_member ? "  [gate]" : "");
+    std::printf("%-24s scalar %8.3f ns/%-8s %s %8.3f ns/%-8s -> %5.2fx%s\n",
+                name, row.scalar_ns_per_sample, unit,
+                simd::TierName(best_tier), row.simd_ns_per_sample, unit,
+                row.speedup, gate_member ? "  [gate]" : "");
     rows.push_back(row);
   };
 
@@ -273,6 +278,19 @@ int RunSpeedupTable() {
     benchmark::DoNotOptimize(pkts.data());
     simd::ClearForcedTier();
   });
+  // ZigBee's preamble search over a noise span: no position passes the
+  // threshold, so every position pays one 128-sample symbol-0 correlation.
+  const std::size_t zb_positions =
+      kN - 10 * rfdump::phyzigbee::kSamplesPerSymbol + 1;
+  measure(
+      "zigbee-preamble-search", false,
+      [&](const simd::Kernels& k) {
+        simd::ForceTier(k.tier);
+        auto frame = rfdump::phyzigbee::DecodeFrame(x);
+        benchmark::DoNotOptimize(frame);
+        simd::ClearForcedTier();
+      },
+      zb_positions, "position");
 
   int gate_hits = 0;
   for (const auto& r : rows) {
@@ -287,6 +305,7 @@ int RunSpeedupTable() {
     kernel_objs.push_back(bench::JsonObj({
         {"kernel", bench::JsonStr(r.kernel)},
         {"gate_member", r.gate_member ? "true" : "false"},
+        {"unit", bench::JsonStr(r.unit)},
         {"scalar_ns_per_sample", bench::JsonNum(r.scalar_ns_per_sample)},
         {"simd_ns_per_sample", bench::JsonNum(r.simd_ns_per_sample)},
         {"speedup", bench::JsonNum(r.speedup)},

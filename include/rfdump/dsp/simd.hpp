@@ -121,6 +121,19 @@ struct Kernels {
   /// out[m] is ((f[8m+r-1] + f[8m+r]) + f[8m+r+1]) > 0 (NaN slices 0), for
   /// m in [0, n_sym) and r in [0, 8). Reads f[-1] .. f[8 * n_sym].
   void (*slice_bytes)(const float* f, std::size_t n_sym, std::uint8_t* out);
+
+  /// Sliding complex correlation against a fixed reference, for i in
+  /// [0, n_pos), with n ascending per position:
+  ///   acc[i]    = sum_n x[i+n] * conj(ref[n])   (float, naive product:
+  ///               re = xr*rr - xi*(-ri), im = xr*(-ri) + xi*rr)
+  ///   energy[i] = sum_n (double)(xr*xr + xi*xi)  (float norm, widened)
+  /// Reads x[0 .. n_pos + n_ref - 1). `planes` is caller-owned scratch of
+  /// SymbolCorrelatePlanesSize(n_pos, n_ref) floats; the vector tiers copy
+  /// the span there as planar re / im / widened-norm rows and put positions
+  /// in lanes, so each lane runs the scalar operation sequence unchanged.
+  void (*symbol_correlate)(const cfloat* x, std::size_t n_pos,
+                           const cfloat* ref, std::size_t n_ref, float* planes,
+                           cfloat* acc, double* energy);
 };
 
 /// Scratch samples polyphase_resample needs for its planes: `decim` planes
@@ -133,6 +146,18 @@ struct Kernels {
 [[nodiscard]] constexpr std::size_t PolyphasePlanesSize(std::size_t n_work,
                                                         std::size_t decim) {
   return decim * PolyphasePlaneStride(n_work, decim);
+}
+
+/// Scratch floats symbol_correlate needs: float re and im planes and a
+/// double norm plane (two floats a sample) over the n_pos + n_ref - 1 span
+/// samples, each plane padded to a whole number of 32-byte rows.
+[[nodiscard]] constexpr std::size_t SymbolCorrelatePlaneStride(
+    std::size_t n_pos, std::size_t n_ref) {
+  return (n_pos + n_ref + 7) / 8 * 8;
+}
+[[nodiscard]] constexpr std::size_t SymbolCorrelatePlanesSize(
+    std::size_t n_pos, std::size_t n_ref) {
+  return 4 * SymbolCorrelatePlaneStride(n_pos, n_ref);
 }
 
 /// Kernel table of ActiveTier(). One relaxed atomic load; safe to call from

@@ -16,12 +16,15 @@
 
 #include "rfdump/dsp/types.hpp"
 #include "rfdump/util/bits.hpp"
+#include "rfdump/util/work_budget.hpp"
 
 namespace rfdump::phyzigbee {
 
 inline constexpr double kChipRateHz = 2e6;
 inline constexpr std::size_t kSamplesPerChip = 4;   // at 8 Msps
 inline constexpr std::size_t kChipsPerSymbol = 32;
+inline constexpr std::size_t kSamplesPerSymbol =
+    kChipsPerSymbol * kSamplesPerChip;  // 128 at 8 Msps
 inline constexpr double kSymbolRateHz = 62.5e3;
 inline constexpr double kBitRateBps = 250e3;
 
@@ -43,6 +46,11 @@ inline constexpr double kAckTurnaroundUs = 192.0;
 /// + PSDU. Returns 8 Msps baseband samples (O-QPSK half-sine).
 [[nodiscard]] dsp::SampleVec ModulateFrame(std::span<const std::uint8_t> psdu);
 
+/// Reference waveform of data symbol `symbol` (0..15): the first
+/// kSamplesPerSymbol samples of its rendered chips, the pattern the decoder
+/// correlates against.
+[[nodiscard]] dsp::const_sample_span SymbolReference(int symbol);
+
 /// Airtime of a frame in microseconds ((6 + psdu) bytes * 32 us/byte).
 [[nodiscard]] double FrameAirtimeUs(std::size_t psdu_bytes);
 
@@ -55,8 +63,11 @@ struct DecodedZbFrame {
 };
 
 /// Correlation demodulator: searches for the preamble+SFD chip pattern and
-/// decodes symbols by maximum-correlation despreading.
+/// decodes symbols by maximum-correlation despreading. `budget` (non-owning,
+/// armed by the supervision layer; null = unlimited) is charged once per
+/// chunk of preamble-search positions; once it expires the search gives up
+/// and returns nullopt.
 [[nodiscard]] std::optional<DecodedZbFrame> DecodeFrame(
-    dsp::const_sample_span x);
+    dsp::const_sample_span x, util::WorkBudget* budget = nullptr);
 
 }  // namespace rfdump::phyzigbee

@@ -19,11 +19,19 @@
 namespace rfdump::dsp::simd::detail {
 namespace {
 
+inline const float* F(const cfloat* p) {
+  return reinterpret_cast<const float*>(p);
+}
+inline float* F(cfloat* p) { return reinterpret_cast<float*>(p); }
+
 struct AvxTraits {
   using VF = __m256;
+  using VD = __m256d;
   static constexpr std::size_t kWidth = 8;
 
+  static VF Zero() { return _mm256_setzero_ps(); }
   static VF Set1(float v) { return _mm256_set1_ps(v); }
+  static VF Load(const float* p) { return _mm256_loadu_ps(p); }
   static VF Add(VF a, VF b) { return _mm256_add_ps(a, b); }
   static VF Sub(VF a, VF b) { return _mm256_sub_ps(a, b); }
   static VF Mul(VF a, VF b) { return _mm256_mul_ps(a, b); }
@@ -37,12 +45,22 @@ struct AvxTraits {
   static VF CmpLT(VF a, VF b) { return _mm256_cmp_ps(a, b, _CMP_LT_OQ); }
   static VF CmpEQ(VF a, VF b) { return _mm256_cmp_ps(a, b, _CMP_EQ_OQ); }
   static VF Blend(VF mask, VF a, VF b) { return _mm256_blendv_ps(b, a, mask); }
-};
+  static void StoreComplex(cfloat* out, VF re, VF im) {
+    // unpack works per 128-bit half: lo = [0 1 | 4 5], hi = [2 3 | 6 7].
+    const __m256 lo = _mm256_unpacklo_ps(re, im);
+    const __m256 hi = _mm256_unpackhi_ps(re, im);
+    _mm256_storeu_ps(F(out), _mm256_permute2f128_ps(lo, hi, 0x20));
+    _mm256_storeu_ps(F(out + 4), _mm256_permute2f128_ps(lo, hi, 0x31));
+  }
 
-inline const float* F(const cfloat* p) {
-  return reinterpret_cast<const float*>(p);
-}
-inline float* F(cfloat* p) { return reinterpret_cast<float*>(p); }
+  // Double lanes (kWidth / 2 per VD).
+  static VD ZeroD() { return _mm256_setzero_pd(); }
+  static VD AddD(VD a, VD b) { return _mm256_add_pd(a, b); }
+  static VD LoadD(const float* p) {
+    return _mm256_loadu_pd(reinterpret_cast<const double*>(p));
+  }
+  static void StoreD(double* out, VD v) { _mm256_storeu_pd(out, v); }
+};
 
 /// Element order of the shuffle-based deinterleave, and (being self-inverse)
 /// also the permutation that restores element order before a store.
@@ -286,13 +304,19 @@ void Avx2SliceBytes(const float* f, std::size_t n_sym, std::uint8_t* out) {
   }
 }
 
+void Avx2SymbolCorrelate(const cfloat* x, std::size_t n_pos, const cfloat* ref,
+                         std::size_t n_ref, float* planes, cfloat* acc,
+                         double* energy) {
+  SymbolCorrelate<AvxTraits>(x, n_pos, ref, n_ref, planes, acc, energy);
+}
+
 }  // namespace
 
 const Kernels kAvx2Kernels = {
     Tier::kAvx2,       &Avx2CorrelateChips, &Avx2FirComplex,
     &Avx2PhaseDiff,    &Avx2InstantPhase,   &Avx2SumFinitePower,
     &Avx2PowerPlane,   &Avx2HealthScan,     &Avx2ConjMulSum,
-    &Avx2PolyphaseResample, &Avx2SliceBytes,
+    &Avx2PolyphaseResample, &Avx2SliceBytes, &Avx2SymbolCorrelate,
 };
 
 const bool kAvx2Built = true;

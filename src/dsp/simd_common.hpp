@@ -24,6 +24,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 
 #include "rfdump/dsp/energy.hpp"
@@ -428,6 +429,104 @@ inline void ScalarSliceBytes(const float* f, std::size_t n_sym,
   for (std::size_t m = 0; m < n_sym; ++m) out[m] = ScalarSliceByte(f + 8 * m);
 }
 
+// ----------------------------------------------------- symbol_correlate
+
+/// One position of symbol_correlate: ZigBee's historical per-position loop,
+/// with the complex product written out (no __mulsc3 NaN recovery; for
+/// finite samples the same IEEE sequence as std::complex operator*).
+inline void ScalarSymbolCorrelateOne(const cfloat* x, const cfloat* ref,
+                                     std::size_t n_ref, cfloat& acc,
+                                     double& energy) {
+  float ar = 0.0f, ai = 0.0f;
+  double e = 0.0;
+  for (std::size_t n = 0; n < n_ref; ++n) {
+    const float xr = x[n].real(), xi = x[n].imag();
+    const float rr = ref[n].real(), nri = -ref[n].imag();
+    ar = ar + (xr * rr - xi * nri);
+    ai = ai + (xr * nri + xi * rr);
+    e += static_cast<double>(xr * xr + xi * xi);
+  }
+  acc = {ar, ai};
+  energy = e;
+}
+
+inline void ScalarSymbolCorrelate(const cfloat* x, std::size_t n_pos,
+                                  const cfloat* ref, std::size_t n_ref,
+                                  float* /*planes*/, cfloat* acc,
+                                  double* energy) {
+  for (std::size_t i = 0; i < n_pos; ++i) {
+    ScalarSymbolCorrelateOne(x + i, ref, n_ref, acc[i], energy[i]);
+  }
+}
+
+/// Vector tiers: positions in lanes. T::VF holds T::kWidth floats, T::VD
+/// half as many doubles; T provides Zero/ZeroD/Set1/Load/Add/Sub/Mul/AddD,
+/// LoadD (a VD from double-plane storage) and StoreComplex/StoreD. The span
+/// is copied to planar re / im rows and a row of widened norms, so lane w
+/// of a register loaded at i + n is sample i + w + n, and every lane runs
+/// the exact ScalarSymbolCorrelateOne sequence. A pass covers kTiles
+/// registers that share each reference broadcast; positions after the last
+/// whole pass run through ScalarSymbolCorrelateOne itself.
+template <class T>
+void SymbolCorrelate(const cfloat* x, std::size_t n_pos, const cfloat* ref,
+                     std::size_t n_ref, float* planes, cfloat* acc,
+                     double* energy) {
+  constexpr std::size_t kLanes = T::kWidth;
+  constexpr std::size_t kTiles = 2;
+  constexpr std::size_t kPass = kTiles * kLanes;
+  const std::size_t body = n_pos - n_pos % kPass;
+  if (body > 0) {
+    const std::size_t stride = SymbolCorrelatePlaneStride(n_pos, n_ref);
+    float* re = planes;
+    float* im = planes + stride;
+    float* pw = planes + 2 * stride;  // doubles, two floats each
+    // The body's passes read span samples [0, body + n_ref - 1).
+    for (std::size_t j = 0; j + 1 < body + n_ref; ++j) {
+      const float xr = x[j].real(), xi = x[j].imag();
+      re[j] = xr;
+      im[j] = xi;
+      const double p = static_cast<double>(xr * xr + xi * xi);
+      std::memcpy(pw + 2 * j, &p, sizeof p);
+    }
+    for (std::size_t i = 0; i < body; i += kPass) {
+      typename T::VF ar[kTiles], ai[kTiles];
+      typename T::VD e[2 * kTiles];
+#pragma GCC unroll 4
+      for (std::size_t g = 0; g < kTiles; ++g) {
+        ar[g] = T::Zero();
+        ai[g] = T::Zero();
+        e[2 * g] = T::ZeroD();
+        e[2 * g + 1] = T::ZeroD();
+      }
+      for (std::size_t n = 0; n < n_ref; ++n) {
+        const typename T::VF rr = T::Set1(ref[n].real());
+        const typename T::VF nri = T::Set1(-ref[n].imag());
+        const std::size_t at = i + n;
+#pragma GCC unroll 4
+        for (std::size_t g = 0; g < kTiles; ++g) {
+          const std::size_t j = at + g * kLanes;
+          const typename T::VF xr = T::Load(re + j);
+          const typename T::VF xi = T::Load(im + j);
+          ar[g] = T::Add(ar[g], T::Sub(T::Mul(xr, rr), T::Mul(xi, nri)));
+          ai[g] = T::Add(ai[g], T::Add(T::Mul(xr, nri), T::Mul(xi, rr)));
+          e[2 * g] = T::AddD(e[2 * g], T::LoadD(pw + 2 * j));
+          e[2 * g + 1] = T::AddD(e[2 * g + 1], T::LoadD(pw + 2 * j + kLanes));
+        }
+      }
+#pragma GCC unroll 4
+      for (std::size_t g = 0; g < kTiles; ++g) {
+        const std::size_t j = i + g * kLanes;
+        T::StoreComplex(acc + j, ar[g], ai[g]);
+        T::StoreD(energy + j, e[2 * g]);
+        T::StoreD(energy + j + kLanes / 2, e[2 * g + 1]);
+      }
+    }
+  }
+  for (std::size_t i = body; i < n_pos; ++i) {
+    ScalarSymbolCorrelateOne(x + i, ref, n_ref, acc[i], energy[i]);
+  }
+}
+
 // Tier tables with external linkage: scalar is defined below (constexpr in
 // this header); SSE2/AVX2 are defined in their arch-specific TUs. These
 // declarations give the out-of-line definitions external linkage.
@@ -441,7 +540,7 @@ inline constexpr Kernels kScalarKernels = {
     Tier::kScalar,        &ScalarCorrelateChips, &ScalarFirComplex,
     &ScalarPhaseDiff,     &ScalarInstantPhase,   &ScalarSumFinitePower,
     &ScalarPowerPlane,    &ScalarHealthScan,     &ScalarConjMulSum,
-    &ScalarPolyphaseResample, &ScalarSliceBytes,
+    &ScalarPolyphaseResample, &ScalarSliceBytes, &ScalarSymbolCorrelate,
 };
 
 }  // namespace rfdump::dsp::simd::detail

@@ -16,11 +16,19 @@
 namespace rfdump::dsp::simd::detail {
 namespace {
 
+inline const float* F(const cfloat* p) {
+  return reinterpret_cast<const float*>(p);
+}
+inline float* F(cfloat* p) { return reinterpret_cast<float*>(p); }
+
 struct SseTraits {
   using VF = __m128;
+  using VD = __m128d;
   static constexpr std::size_t kWidth = 4;
 
+  static VF Zero() { return _mm_setzero_ps(); }
   static VF Set1(float v) { return _mm_set1_ps(v); }
+  static VF Load(const float* p) { return _mm_loadu_ps(p); }
   static VF Add(VF a, VF b) { return _mm_add_ps(a, b); }
   static VF Sub(VF a, VF b) { return _mm_sub_ps(a, b); }
   static VF Mul(VF a, VF b) { return _mm_mul_ps(a, b); }
@@ -36,12 +44,19 @@ struct SseTraits {
   static VF Blend(VF mask, VF a, VF b) {
     return _mm_or_ps(_mm_and_ps(mask, a), _mm_andnot_ps(mask, b));
   }
-};
+  static void StoreComplex(cfloat* out, VF re, VF im) {
+    _mm_storeu_ps(F(out), _mm_unpacklo_ps(re, im));
+    _mm_storeu_ps(F(out + 2), _mm_unpackhi_ps(re, im));
+  }
 
-inline const float* F(const cfloat* p) {
-  return reinterpret_cast<const float*>(p);
-}
-inline float* F(cfloat* p) { return reinterpret_cast<float*>(p); }
+  // Double lanes (kWidth / 2 per VD).
+  static VD ZeroD() { return _mm_setzero_pd(); }
+  static VD AddD(VD a, VD b) { return _mm_add_pd(a, b); }
+  static VD LoadD(const float* p) {
+    return _mm_loadu_pd(reinterpret_cast<const double*>(p));
+  }
+  static void StoreD(double* out, VD v) { _mm_storeu_pd(out, v); }
+};
 
 /// Loads x[i..i+3] and splits into in-order re/im planes.
 inline void Deinterleave4(const cfloat* x, __m128& re, __m128& im) {
@@ -283,13 +298,19 @@ void Sse2SliceBytes(const float* f, std::size_t n_sym, std::uint8_t* out) {
   }
 }
 
+void Sse2SymbolCorrelate(const cfloat* x, std::size_t n_pos, const cfloat* ref,
+                         std::size_t n_ref, float* planes, cfloat* acc,
+                         double* energy) {
+  SymbolCorrelate<SseTraits>(x, n_pos, ref, n_ref, planes, acc, energy);
+}
+
 }  // namespace
 
 const Kernels kSse2Kernels = {
     Tier::kSse2,       &Sse2CorrelateChips, &Sse2FirComplex,
     &Sse2PhaseDiff,    &Sse2InstantPhase,   &Sse2SumFinitePower,
     &Sse2PowerPlane,   &Sse2HealthScan,     &Sse2ConjMulSum,
-    &Sse2PolyphaseResample, &Sse2SliceBytes,
+    &Sse2PolyphaseResample, &Sse2SliceBytes, &Sse2SymbolCorrelate,
 };
 
 }  // namespace rfdump::dsp::simd::detail

@@ -4,15 +4,15 @@
 #include <array>
 #include <cmath>
 
+#include "rfdump/dsp/simd.hpp"
 #include "rfdump/util/crc.hpp"
+#include "rfdump/util/scratch.hpp"
 
 namespace rfdump::phyzigbee {
 namespace {
 
 using dsp::cfloat;
 
-constexpr std::size_t kSamplesPerSymbol =
-    kChipsPerSymbol * kSamplesPerChip;  // 128 at 8 Msps
 constexpr std::size_t kHalfSineSamples = 2 * kSamplesPerChip;  // 8
 
 // Half-sine pulse table, sin(pi * t / (2 Tc)) sampled at 8 Msps.
@@ -54,10 +54,17 @@ std::uint16_t ZbFcs(std::span<const std::uint8_t> bytes) {
   return util::Crc16CcittBits(util::BytesToBitsLsbFirst(bytes), 0x0000);
 }
 
-// Reference waveform of one data symbol (first kSamplesPerSymbol samples).
-const std::array<dsp::SampleVec, 16>& SymbolRefs() {
-  static const auto refs = [] {
-    std::array<dsp::SampleVec, 16> r;
+// Reference waveform of each data symbol (its first kSamplesPerSymbol
+// samples) and that waveform's energy, summed once in the order the
+// per-position correlation used to re-sum it.
+struct SymbolBank {
+  std::array<dsp::SampleVec, 16> refs;
+  std::array<double, 16> energy{};
+};
+
+const SymbolBank& Bank() {
+  static const SymbolBank bank = [] {
+    SymbolBank b;
     for (std::uint8_t s = 0; s < 16; ++s) {
       util::BitVec chips(kChipsPerSymbol);
       const std::uint32_t pn = ChipTable()[s];
@@ -66,28 +73,107 @@ const std::array<dsp::SampleVec, 16>& SymbolRefs() {
       }
       auto wave = RenderChips(chips);
       wave.resize(kSamplesPerSymbol);
-      r[s] = std::move(wave);
+      double er = 0.0;
+      for (const cfloat r : wave) er += std::norm(r);
+      b.refs[s] = std::move(wave);
+      b.energy[s] = er;
     }
-    return r;
+    return b;
   }();
-  return refs;
+  return bank;
 }
 
-// Normalized correlation of x[at..at+128) against reference `s`.
-float SymbolCorrelation(dsp::const_sample_span x, std::size_t at, int s,
-                        cfloat* rotation_out = nullptr) {
-  const auto& ref = SymbolRefs()[static_cast<std::size_t>(s)];
-  cfloat acc{0.0f, 0.0f};
-  double ex = 0.0, er = 0.0;
-  for (std::size_t n = 0; n < kSamplesPerSymbol; ++n) {
-    acc += x[at + n] * std::conj(ref[n]);
-    ex += std::norm(x[at + n]);
-    er += std::norm(ref[n]);
-  }
-  if (rotation_out) *rotation_out = acc;
+// |acc| / sqrt(ex * er), the normalised correlation the thresholds apply to.
+float Normalized(cfloat acc, double ex, double er) {
   const double denom = std::sqrt(std::max(ex * er, 1e-30));
   return static_cast<float>(std::abs(acc) / denom);
 }
+
+// Normalized correlation of x[at..at+128) against reference `s`.
+float SymbolCorrelation(dsp::const_sample_span x, std::size_t at, int s) {
+  const auto& ref = Bank().refs[static_cast<std::size_t>(s)];
+  cfloat acc{0.0f, 0.0f};
+  double ex = 0.0;
+  for (std::size_t n = 0; n < kSamplesPerSymbol; ++n) {
+    acc += x[at + n] * std::conj(ref[n]);
+    ex += std::norm(x[at + n]);
+  }
+  return Normalized(acc, ex, Bank().energy[static_cast<std::size_t>(s)]);
+}
+
+constexpr float kThreshold = 0.65f;
+
+// Argmax-correlation symbol at `pos`, or -1 past the end of `x`.
+int DecodeSymbol(dsp::const_sample_span x, std::size_t pos) {
+  if (pos + kSamplesPerSymbol > x.size()) return -1;
+  int best = 0;
+  float best_corr = -1.0f;
+  for (int s = 0; s < 16; ++s) {
+    const float c = SymbolCorrelation(x, pos, s);
+    if (c > best_corr) {
+      best_corr = c;
+      best = s;
+    }
+  }
+  return best;
+}
+
+// What the search does with a position whose symbol-0 correlation passed:
+// move on, stop (the frame would run past the span), or return `frame`.
+enum class Candidate { kNone, kTruncated, kFrame };
+
+Candidate TryFrame(dsp::const_sample_span x, std::size_t at,
+                   DecodedZbFrame& frame) {
+  // Require the next 7 preamble symbols too. Written as !(c >= threshold)
+  // so a NaN correlation fails here, unlike the `< threshold` tests around it.
+  for (std::size_t m = 1; m < 8; ++m) {
+    if (!(SymbolCorrelation(x, at + m * kSamplesPerSymbol, 0) >= kThreshold)) {
+      return Candidate::kNone;
+    }
+  }
+  // SFD (0xA7): nibbles 7 then A.
+  const std::size_t sfd_at = at + 8 * kSamplesPerSymbol;
+  if (sfd_at + 2 * kSamplesPerSymbol > x.size()) return Candidate::kTruncated;
+  if (SymbolCorrelation(x, sfd_at, 0x7) < kThreshold ||
+      SymbolCorrelation(x, sfd_at + kSamplesPerSymbol, 0xA) < kThreshold) {
+    return Candidate::kNone;
+  }
+  // Decode PHR + PSDU by per-symbol argmax correlation.
+  std::size_t pos = sfd_at + 2 * kSamplesPerSymbol;
+  const int phr_lo = DecodeSymbol(x, pos);
+  const int phr_hi = DecodeSymbol(x, pos + kSamplesPerSymbol);
+  if (phr_lo < 0 || phr_hi < 0) return Candidate::kTruncated;
+  const std::size_t length =
+      (static_cast<std::size_t>(phr_hi) << 4 |
+       static_cast<std::size_t>(phr_lo)) & 0x7F;
+  pos += 2 * kSamplesPerSymbol;
+  frame.start_sample = static_cast<std::int64_t>(at);
+  frame.psdu.reserve(length);
+  for (std::size_t b = 0; b < length; ++b) {
+    const int lo = DecodeSymbol(x, pos);
+    const int hi = DecodeSymbol(x, pos + kSamplesPerSymbol);
+    if (lo < 0 || hi < 0) break;
+    frame.psdu.push_back(static_cast<std::uint8_t>((hi << 4) | lo));
+    pos += 2 * kSamplesPerSymbol;
+  }
+  frame.end_sample = static_cast<std::int64_t>(pos);
+  if (frame.psdu.size() == length && length >= 2) {
+    const std::uint16_t fcs = ZbFcs(
+        std::span<const std::uint8_t>(frame.psdu).first(length - 2));
+    const std::uint16_t rx = static_cast<std::uint16_t>(
+        frame.psdu[length - 2] | (frame.psdu[length - 1] << 8));
+    frame.crc_ok = (fcs == rx);
+  }
+  return Candidate::kFrame;
+}
+
+// Preamble-search positions per symbol_correlate call: a frame found early
+// wastes at most one chunk of correlations.
+constexpr std::size_t kSearchChunk = 256;
+
+struct PlanesTag;
+struct AccTag;
+struct EnergyTag;
 
 }  // namespace
 
@@ -127,73 +213,47 @@ dsp::SampleVec ModulateFrame(std::span<const std::uint8_t> psdu) {
   return RenderChips(BytesToChips(frame));
 }
 
+dsp::const_sample_span SymbolReference(int symbol) {
+  return Bank().refs.at(static_cast<std::size_t>(symbol));
+}
+
 double FrameAirtimeUs(std::size_t psdu_bytes) {
   // 2 symbols/byte at 16 us/symbol.
   return static_cast<double>(6 + psdu_bytes) * 32.0;
 }
 
-std::optional<DecodedZbFrame> DecodeFrame(dsp::const_sample_span x) {
-  // Preamble search: 8 consecutive symbol-0 correlations above threshold.
-  constexpr float kThreshold = 0.65f;
+std::optional<DecodedZbFrame> DecodeFrame(dsp::const_sample_span x,
+                                          util::WorkBudget* budget) {
+  // Preamble search: the symbol-0 correlation at every position runs through
+  // the symbol_correlate kernel a chunk at a time; the normalisation and the
+  // threshold stay per position.
   if (x.size() < 10 * kSamplesPerSymbol) return std::nullopt;
   const std::size_t limit = x.size() - 10 * kSamplesPerSymbol;
-  for (std::size_t at = 0; at <= limit; ++at) {
-    if (SymbolCorrelation(x, at, 0) < kThreshold) continue;
-    // Require the next 7 preamble symbols too.
-    bool preamble = true;
-    for (int m = 1; m < 8 && preamble; ++m) {
-      preamble = SymbolCorrelation(x, at + m * kSamplesPerSymbol, 0) >=
-                 kThreshold;
-    }
-    if (!preamble) continue;
-    // SFD (0xA7): nibbles 7 then A.
-    const std::size_t sfd_at = at + 8 * kSamplesPerSymbol;
-    if (sfd_at + 2 * kSamplesPerSymbol > x.size()) return std::nullopt;
-    if (SymbolCorrelation(x, sfd_at, 0x7) < kThreshold) continue;
-    if (SymbolCorrelation(x, sfd_at + kSamplesPerSymbol, 0xA) < kThreshold) {
-      continue;
-    }
-    // Decode PHR + PSDU by per-symbol argmax correlation.
-    auto decode_symbol = [&](std::size_t pos) -> int {
-      if (pos + kSamplesPerSymbol > x.size()) return -1;
-      int best = 0;
-      float best_corr = -1.0f;
-      for (int s = 0; s < 16; ++s) {
-        const float c = SymbolCorrelation(x, pos, s);
-        if (c > best_corr) {
-          best_corr = c;
-          best = s;
-        }
+  const auto& kernels = dsp::simd::Active();
+  const cfloat* ref0 = Bank().refs[0].data();
+  const double er0 = Bank().energy[0];
+  auto& planes = util::Scratch<float, PlanesTag>();
+  planes.resize(
+      dsp::simd::SymbolCorrelatePlanesSize(kSearchChunk, kSamplesPerSymbol));
+  auto& acc = util::Scratch<cfloat, AccTag>();
+  acc.resize(kSearchChunk);
+  auto& energy = util::Scratch<double, EnergyTag>();
+  energy.resize(kSearchChunk);
+  for (std::size_t base = 0; base <= limit; base += kSearchChunk) {
+    const std::size_t n_pos = std::min(kSearchChunk, limit + 1 - base);
+    // Cooperative deadline: one charge per chunk of search positions.
+    if (budget && !budget->Charge(n_pos)) return std::nullopt;
+    kernels.symbol_correlate(x.data() + base, n_pos, ref0, kSamplesPerSymbol,
+                             planes.data(), acc.data(), energy.data());
+    for (std::size_t j = 0; j < n_pos; ++j) {
+      if (Normalized(acc[j], energy[j], er0) < kThreshold) continue;
+      DecodedZbFrame frame;
+      switch (TryFrame(x, base + j, frame)) {
+        case Candidate::kNone: continue;
+        case Candidate::kTruncated: return std::nullopt;
+        case Candidate::kFrame: return frame;
       }
-      return best;
-    };
-    std::size_t pos = sfd_at + 2 * kSamplesPerSymbol;
-    const int phr_lo = decode_symbol(pos);
-    const int phr_hi = decode_symbol(pos + kSamplesPerSymbol);
-    if (phr_lo < 0 || phr_hi < 0) return std::nullopt;
-    const std::size_t length =
-        (static_cast<std::size_t>(phr_hi) << 4 |
-         static_cast<std::size_t>(phr_lo)) & 0x7F;
-    pos += 2 * kSamplesPerSymbol;
-    DecodedZbFrame frame;
-    frame.start_sample = static_cast<std::int64_t>(at);
-    frame.psdu.reserve(length);
-    for (std::size_t b = 0; b < length; ++b) {
-      const int lo = decode_symbol(pos);
-      const int hi = decode_symbol(pos + kSamplesPerSymbol);
-      if (lo < 0 || hi < 0) break;
-      frame.psdu.push_back(static_cast<std::uint8_t>((hi << 4) | lo));
-      pos += 2 * kSamplesPerSymbol;
     }
-    frame.end_sample = static_cast<std::int64_t>(pos);
-    if (frame.psdu.size() == length && length >= 2) {
-      const std::uint16_t fcs = ZbFcs(
-          std::span<const std::uint8_t>(frame.psdu).first(length - 2));
-      const std::uint16_t rx = static_cast<std::uint16_t>(
-          frame.psdu[length - 2] | (frame.psdu[length - 1] << 8));
-      frame.crc_ok = (fcs == rx);
-    }
-    return frame;
   }
   return std::nullopt;
 }

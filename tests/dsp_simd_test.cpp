@@ -20,6 +20,7 @@
 #include "rfdump/dsp/resampler.hpp"
 #include "rfdump/dsp/simd.hpp"
 #include "rfdump/dsp/types.hpp"
+#include "rfdump/phyzigbee/phy.hpp"
 
 namespace rfdump::dsp::simd {
 namespace {
@@ -482,6 +483,145 @@ TEST_P(DspSimdTierSweep, ResamplerChunkedStreamMatchesSeedLoop) {
     }
   }
   ClearForcedTier();
+}
+
+// --- symbol_correlate -------------------------------------------------------
+
+/// ZigBee's historical per-position SymbolCorrelation (phyzigbee, before the
+/// kernel), kept verbatim as the reference; the raw sums are returned along
+/// with the normalised value the decoder thresholds.
+struct SeedCorrelation {
+  cfloat acc;
+  double ex;
+  float normalized;
+};
+
+SeedCorrelation SeedSymbolCorrelation(const cfloat* x, std::size_t at, int s) {
+  const auto ref = phyzigbee::SymbolReference(s);
+  cfloat acc{0.0f, 0.0f};
+  double ex = 0.0, er = 0.0;
+  for (std::size_t n = 0; n < phyzigbee::kSamplesPerSymbol; ++n) {
+    acc += x[at + n] * std::conj(ref[n]);
+    ex += std::norm(x[at + n]);
+    er += std::norm(ref[n]);
+  }
+  const double denom = std::sqrt(std::max(ex * er, 1e-30));
+  return {acc, ex, static_cast<float>(std::abs(acc) / denom)};
+}
+
+/// The decoder's normalisation of kernel output with the reference energy
+/// summed once in the seed order.
+float NormalizedFromKernel(cfloat acc, double energy, int s) {
+  double er = 0.0;
+  for (const cfloat r : phyzigbee::SymbolReference(s)) er += std::norm(r);
+  const double denom = std::sqrt(std::max(energy * er, 1e-30));
+  return static_cast<float>(std::abs(acc) / denom);
+}
+
+/// Span samples for the correlation sweep. Mode 0: plain noise. Mode 1:
+/// finite specials (ADC rail, signed zeros, a frame-level amplitude that
+/// overflows the float norm). Mode 2: sparse NaN / +-Inf among them.
+std::vector<cfloat> CorrelationSamples(std::mt19937& rng, std::size_t n,
+                                       int mode) {
+  std::uniform_real_distribution<float> amp(-2.0f, 2.0f);
+  std::uniform_int_distribution<int> pick(0, 299);
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  std::vector<cfloat> x(n);
+  for (auto& v : x) {
+    v = cfloat(amp(rng), amp(rng));
+    if (mode == 0) continue;
+    switch (pick(rng)) {
+      case 0: v = cfloat(64.0f, -64.0f); break;
+      case 1: v = cfloat(-0.0f, 0.0f); break;
+      case 2: v = cfloat(0.0f, -0.0f); break;
+      case 3: v = cfloat(3e19f, -3e19f); break;
+      case 4: if (mode == 2) v = cfloat(nan, amp(rng)); break;
+      case 5: if (mode == 2) v = cfloat(amp(rng), -inf); break;
+      case 6: if (mode == 2) v = cfloat(inf, inf); break;
+      default: break;
+    }
+  }
+  return x;
+}
+
+TEST_P(DspSimdTierSweep, SymbolCorrelateMatchesSeedLoop) {
+  const Kernels& ref_tier = Table(Tier::kScalar);
+  const Kernels& vec = Table(tier());
+  constexpr std::size_t kRef = phyzigbee::kSamplesPerSymbol;
+  constexpr float kThreshold = 0.65f;  // the decoder's preamble threshold
+  std::mt19937 rng(1515);
+  std::uniform_int_distribution<std::size_t> len_dist(0, 400);
+  std::size_t finite_checked = 0, special_checked = 0;
+  for (int mode = 0; mode < 3; ++mode) {
+    for (int s = 0; s < 16; ++s) {
+      const auto ref = phyzigbee::SymbolReference(s);
+      for (std::size_t off : kOffsets) {
+        for (int trial = 0; trial < 4; ++trial) {
+          // Short tails for both tiers' passes, then random lengths.
+          const std::size_t n_pos =
+              trial == 0 ? kLengths[(static_cast<std::size_t>(s) + off) %
+                                    std::size(kLengths)]
+                         : len_dist(rng);
+          const auto buf = CorrelationSamples(rng, off + n_pos + kRef, mode);
+          const cfloat* x = buf.data() + off;
+          std::vector<float> planes(SymbolCorrelatePlanesSize(n_pos, kRef));
+          std::vector<cfloat> acc(n_pos), acc_ref(n_pos);
+          std::vector<double> energy(n_pos), energy_ref(n_pos);
+          vec.symbol_correlate(x, n_pos, ref.data(), kRef, planes.data(),
+                               acc.data(), energy.data());
+          ref_tier.symbol_correlate(x, n_pos, ref.data(), kRef, planes.data(),
+                                    acc_ref.data(), energy_ref.data());
+          // Every tier matches the scalar tier on every input.
+          ASSERT_TRUE(BitEqual(acc, acc_ref, "symbol_correlate acc"))
+              << "tier=" << TierName(tier()) << " mode=" << mode << " s=" << s
+              << " off=" << off << " n_pos=" << n_pos;
+          ASSERT_TRUE(std::equal(
+              energy.begin(), energy.end(), energy_ref.begin(),
+              [](double a, double b) {
+                return std::bit_cast<std::uint64_t>(a) ==
+                       std::bit_cast<std::uint64_t>(b);
+              }))
+              << "tier=" << TierName(tier()) << " mode=" << mode << " s=" << s
+              << " off=" << off << " n_pos=" << n_pos;
+          for (std::size_t i = 0; i < n_pos; ++i) {
+            const auto where = [&] {
+              return ::testing::Message()
+                     << "tier=" << TierName(tier()) << " mode=" << mode
+                     << " s=" << s << " off=" << off << " n_pos=" << n_pos
+                     << " i=" << i;
+            };
+            const SeedCorrelation seed = SeedSymbolCorrelation(x, i, s);
+            const bool finite = std::all_of(x + i, x + i + kRef, [](cfloat v) {
+              return std::isfinite(v.real()) && std::isfinite(v.imag());
+            });
+            const float got = NormalizedFromKernel(acc[i], energy[i], s);
+            if (finite) {
+              // Finite windows: the seed loop's exact bits.
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(acc[i]),
+                        std::bit_cast<std::uint64_t>(seed.acc))
+                  << where();
+              ASSERT_EQ(std::bit_cast<std::uint64_t>(energy[i]),
+                        std::bit_cast<std::uint64_t>(seed.ex))
+                  << where();
+              ASSERT_EQ(std::bit_cast<std::uint32_t>(got),
+                        std::bit_cast<std::uint32_t>(seed.normalized))
+                  << where();
+              ++finite_checked;
+            } else {
+              // NaN/Inf windows: std::complex's Inf recovery may change the
+              // raw sums, never the threshold decision.
+              ASSERT_EQ(got < kThreshold, seed.normalized < kThreshold)
+                  << where() << " got=" << got << " seed=" << seed.normalized;
+              ++special_checked;
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(finite_checked, 10000u);
+  EXPECT_GT(special_checked, 1000u);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllTiers, DspSimdTierSweep,

@@ -17,12 +17,14 @@
 #include <thread>
 #include <vector>
 
+#include "rfdump/core/result_sink.hpp"
 #include "rfdump/core/streaming.hpp"
 #include "rfdump/core/supervisor.hpp"
 #include "rfdump/emu/ether.hpp"
 #include "rfdump/obs/obs.hpp"
 #include "rfdump/phy80211/demodulator.hpp"
 #include "rfdump/phybt/demodulator.hpp"
+#include "rfdump/phyzigbee/phy.hpp"
 #include "rfdump/traffic/traffic.hpp"
 #include "rfdump/util/work_budget.hpp"
 
@@ -174,6 +176,94 @@ TEST(Supervision, BtDemodulatorHonorsBudget) {
   const auto partial = cut.DecodeAll(span);
   EXPECT_TRUE(tiny.expired());
   EXPECT_LT(partial.size(), all_pkts.size());
+}
+
+/// ZigBee sensor reports alone on the band, LIFS-spaced so the ZigBee timing
+/// detector dispatches them.
+dsp::SampleVec ZigbeeEther(std::uint64_t seed) {
+  emu::Ether ether(emu::Ether::Config{}, seed);
+  rfdump::traffic::ZigbeeConfig zb;
+  zb.count = 8;
+  zb.interval_us = 0.0;
+  const auto zs = rfdump::traffic::GenerateZigbee(ether, zb, 16'000);
+  return ether.Render(zs.end_sample + 16'000);
+}
+
+TEST(Supervision, ZigbeeDecoderHonorsBudget) {
+  // One frame at the end of a long span: the preamble search walks ~400k
+  // positions before it finds it.
+  std::vector<std::uint8_t> psdu(20, 0x5A);
+  const auto wave = rfdump::phyzigbee::ModulateFrame(psdu);
+  dsp::SampleVec x(400'000, dsp::cfloat{0.0f, 0.0f});
+  x.insert(x.end(), wave.begin(), wave.end());
+  x.resize(x.size() + 2'000, dsp::cfloat{0.0f, 0.0f});
+  const auto span = dsp::const_sample_span(x);
+
+  const auto all = rfdump::phyzigbee::DecodeFrame(span);
+  ASSERT_TRUE(all.has_value());
+  EXPECT_EQ(all->psdu, psdu);
+
+  util::WorkBudget roomy;
+  roomy.Arm({.max_samples = 1'000'000'000, .max_cpu_seconds = 0.0});
+  const auto budgeted = rfdump::phyzigbee::DecodeFrame(span, &roomy);
+  ASSERT_TRUE(budgeted.has_value());
+  EXPECT_EQ(budgeted->start_sample, all->start_sample);
+  EXPECT_FALSE(roomy.expired());
+  EXPECT_GT(roomy.checks(), 1000u);  // one charge per search chunk
+
+  // A tiny budget stops the search long before the frame.
+  util::WorkBudget tiny;
+  tiny.Arm({.max_samples = 10'000, .max_cpu_seconds = 0.0});
+  EXPECT_FALSE(rfdump::phyzigbee::DecodeFrame(span, &tiny).has_value());
+  EXPECT_TRUE(tiny.expired());
+  EXPECT_LT(tiny.checks(), 100u);
+}
+
+TEST(SupervisedStreaming, ZigbeeDeadlineIsBooked) {
+  const auto samples = ZigbeeEther(/*seed=*/73);
+  const auto span = dsp::const_sample_span(samples);
+
+  std::size_t control_zb = 0;
+  {
+    core::FunctionSink sink;
+    sink.on_zb_frame = [&](const rfdump::phyzigbee::DecodedZbFrame&) {
+      ++control_zb;
+    };
+    auto cfg = SmallBlocks();
+    cfg.pipeline.EnableBundle(core::Protocol::kZigbee);
+    cfg.sink = &sink;
+    core::StreamingMonitor control(cfg);
+    DriveWhole(control, span);
+    ASSERT_GT(control_zb, 0u);
+    EXPECT_EQ(control.supervisor().counts().deadline, 0u);
+  }
+
+  // An armed deadline far below one search chunk: every ZigBee interval
+  // must stop at its first charge and be booked as a deadline.
+  std::size_t cut_zb = 0;
+  core::FunctionSink sink;
+  sink.on_zb_frame = [&](const rfdump::phyzigbee::DecodedZbFrame&) {
+    ++cut_zb;
+  };
+  auto cfg = SmallBlocks();
+  cfg.pipeline.EnableBundle(core::Protocol::kZigbee);
+  cfg.sink = &sink;
+  cfg.supervisor.demod_limits.max_samples = 16;
+  core::StreamingMonitor monitor(cfg);
+  DriveWhole(monitor, span);
+
+  EXPECT_EQ(cut_zb, 0u);
+  const auto counts = monitor.supervisor().counts();
+  EXPECT_GT(counts.deadline, 0u);
+  EXPECT_EQ(counts.exception, 0u);
+  EXPECT_EQ(monitor.summary().deadline_intervals, counts.deadline);
+  const auto q = monitor.supervisor().quarantine();
+  const bool zigbee_deadline =
+      std::any_of(q.begin(), q.end(), [](const auto& rec) {
+        return rec.protocol == core::Protocol::kZigbee &&
+               rec.outcome == core::Outcome::kDeadline;
+      });
+  EXPECT_TRUE(zigbee_deadline);
 }
 
 // ------------------------------------------------------------- breaker FSM
