@@ -21,26 +21,18 @@ namespace core = rfdump::core;
 
 struct Config {
   const char* name;
-  bool is_rfdump;
-  bool energy_gate;     // naive only
+  core::Architecture arch;
   bool timing, phase;   // rfdump only
   bool demod;
 };
 
 MonitorReport Run(const Config& cfg, rfdump::dsp::const_sample_span x) {
-  core::AnalysisConfig analysis;
-  analysis.demodulate = cfg.demod;
-  if (cfg.is_rfdump) {
-    core::RFDumpPipeline::Config pcfg;
-    pcfg.timing_detectors = cfg.timing;
-    pcfg.phase_detectors = cfg.phase;
-    pcfg.analysis = analysis;
-    return core::RFDumpPipeline(pcfg).Process(x);
-  }
-  core::NaivePipeline::Config ncfg;
-  ncfg.energy_gate = cfg.energy_gate;
-  ncfg.analysis = analysis;
-  return core::NaivePipeline(ncfg).Process(x);
+  core::RFDumpPipeline::Config pcfg;
+  pcfg.architecture = cfg.arch;
+  pcfg.timing_detectors = cfg.timing;
+  pcfg.phase_detectors = cfg.phase;
+  pcfg.analysis.demodulate = cfg.demod;
+  return core::RFDumpPipeline(pcfg).Process(x);
 }
 
 }  // namespace
@@ -50,15 +42,16 @@ int main() {
       "Figure 9 - CPU time / real time vs medium utilization");
 
   const Config configs[] = {
-      {"naive", false, false, false, false, true},
-      {"naive+energy", false, true, false, false, true},
-      {"energy no-demod", false, true, false, false, false},
-      {"RFDump timing", true, false, true, false, true},
-      {"RFDump phase", true, false, false, true, true},
-      {"RFDump t+p", true, false, true, true, true},
-      {"timing no-demod", true, false, true, false, false},
-      {"phase no-demod", true, false, false, true, false},
-      {"t+p no-demod", true, false, true, true, false},
+      {"naive", core::Architecture::kNaive, false, false, true},
+      {"naive+energy", core::Architecture::kNaiveEnergy, false, false, true},
+      {"energy no-demod", core::Architecture::kNaiveEnergy, false, false,
+       false},
+      {"RFDump timing", core::Architecture::kRFDump, true, false, true},
+      {"RFDump phase", core::Architecture::kRFDump, false, true, true},
+      {"RFDump t+p", core::Architecture::kRFDump, true, true, true},
+      {"timing no-demod", core::Architecture::kRFDump, true, false, false},
+      {"phase no-demod", core::Architecture::kRFDump, false, true, false},
+      {"t+p no-demod", core::Architecture::kRFDump, true, true, false},
   };
 
   // Inter-ping spacing (us) chosen to sweep utilization; one ping cycle is

@@ -7,57 +7,33 @@
 // Strategy: build the Table-3 traffic mix (Wi-Fi pings + a Bluetooth ACL
 // session, the workload with the richest dispatched-interval population),
 // run Detect() once, then time AnalyzeDetections() over the same detection
-// output at widths 1 and 4. Result equality is a hard gate everywhere; the
-// speedup gate only applies when std::thread::hardware_concurrency() >= 4 —
-// on smaller hosts (CI containers) the bench reports the ratio and SKIPs
-// that gate, because a 1-core box cannot demonstrate parallel speedup.
+// output at widths 1 and 4: one warm-up run per width, then interleaved
+// trials (the two widths back to back, alternating which goes first, so
+// host noise hits both alike) and the median of each. Result equality —
+// testing::ExactFingerprint over every detection, decode and event — is a
+// hard gate everywhere; the speedup gate only applies when
+// std::thread::hardware_concurrency() >= 4 — on smaller hosts (CI
+// containers) the bench reports the ratio and SKIPs that gate, because a
+// 1-core box cannot demonstrate parallel speedup.
 
 #include <algorithm>
 #include <cstdio>
-#include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "rfdump/core/executor.hpp"
 #include "rfdump/obs/obs.hpp"
+#include "rfdump/testing/differential.hpp"
 
 namespace {
 
 namespace core = rfdump::core;
 namespace dsp = rfdump::dsp;
 
-/// Result-bearing fields only: cpu_seconds in the cost ledger is timing and
-/// legitimately differs across widths.
-bool SameResults(const core::MonitorReport& a, const core::MonitorReport& b,
-                 std::string& why) {
-  if (a.samples_total != b.samples_total) { why = "samples_total"; return false; }
-  if (a.detections.size() != b.detections.size()) { why = "detections"; return false; }
-  if (a.dispatched.size() != b.dispatched.size()) { why = "dispatched"; return false; }
-  if (a.wifi_frames.size() != b.wifi_frames.size()) { why = "wifi count"; return false; }
-  if (a.bt_packets.size() != b.bt_packets.size()) { why = "bt count"; return false; }
-  if (a.zb_frames.size() != b.zb_frames.size()) { why = "zb count"; return false; }
-  for (std::size_t i = 0; i < a.wifi_frames.size(); ++i) {
-    const auto& fa = a.wifi_frames[i];
-    const auto& fb = b.wifi_frames[i];
-    if (fa.start_sample != fb.start_sample || fa.end_sample != fb.end_sample ||
-        fa.fcs_ok != fb.fcs_ok || fa.mpdu != fb.mpdu) {
-      why = "wifi frame " + std::to_string(i);
-      return false;
-    }
-  }
-  for (std::size_t i = 0; i < a.bt_packets.size(); ++i) {
-    const auto& pa = a.bt_packets[i];
-    const auto& pb = b.bt_packets[i];
-    if (pa.start_sample != pb.start_sample || pa.lap != pb.lap ||
-        pa.channel_index != pb.channel_index ||
-        pa.packet.crc_ok != pb.packet.crc_ok ||
-        pa.packet.payload != pb.packet.payload) {
-      why = "bt packet " + std::to_string(i);
-      return false;
-    }
-  }
-  return true;
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 }  // namespace
@@ -87,40 +63,56 @@ int main() {
   std::printf("capture: %.3f s of ether, %zu dispatched intervals\n\n",
               real_seconds, det.report.dispatched.size());
 
-  constexpr int kReps = 3;  // best-of: squeezes out scheduler noise
-  const auto time_width = [&](int width, core::MonitorReport& out) {
-    core::Executor executor(width);
-    double best = 1e300;
-    for (int r = 0; r < kReps; ++r) {
-      auto copy = det;  // AnalyzeDetections consumes its input
-      rfdump::obs::Stopwatch w;
-      auto report = core::AnalyzeDetections(std::move(copy), x, &executor);
-      best = std::min(best, w.Seconds());
-      out = std::move(report);
-    }
-    return best;
+  core::Executor serial(1);
+  core::Executor wide(4);
+  const auto run = [&](core::Executor& executor, core::MonitorReport& out) {
+    auto copy = det;  // AnalyzeDetections consumes its input
+    rfdump::obs::Stopwatch w;
+    auto report = core::AnalyzeDetections(std::move(copy), x, &executor);
+    const double seconds = w.Seconds();
+    out = std::move(report);
+    return seconds;
   };
-
   core::MonitorReport serial_report, parallel_report;
-  const double t1 = time_width(1, serial_report);
-  const double t4 = time_width(4, parallel_report);
+  (void)run(serial, serial_report);  // warm-up
+  (void)run(wide, parallel_report);
+  constexpr int kTrials = 9;
+  std::vector<double> t1s, t4s;
+  for (int i = 0; i < kTrials; ++i) {
+    if (i % 2 == 0) {
+      t1s.push_back(run(serial, serial_report));
+      t4s.push_back(run(wide, parallel_report));
+    } else {
+      t4s.push_back(run(wide, parallel_report));
+      t1s.push_back(run(serial, serial_report));
+    }
+  }
+  const double t1 = Median(t1s);
+  const double t4 = Median(t4s);
   const double speedup = t4 > 0.0 ? t1 / t4 : 0.0;
 
-  std::printf("%-32s %8.4f s  (%.3fx real time)\n", "analysis, --threads 1",
-              t1, t1 / real_seconds);
-  std::printf("%-32s %8.4f s  (%.3fx real time)\n", "analysis, --threads 4",
-              t4, t4 / real_seconds);
+  std::printf("median of %d interleaved trials after one warm-up run:\n",
+              kTrials);
+  const auto row = [&](const char* name, double t,
+                       const std::vector<double>& ts) {
+    std::printf("%-32s %8.4f s  (%.3fx real time; min %.4f, max %.4f)\n",
+                name, t, t / real_seconds,
+                *std::min_element(ts.begin(), ts.end()),
+                *std::max_element(ts.begin(), ts.end()));
+  };
+  row("analysis, --threads 1", t1, t1s);
+  row("analysis, --threads 4", t4, t4s);
   std::printf("%-32s %8.2fx\n\n", "speedup", speedup);
 
   // Hard gate at every width: bit-identical result-bearing report fields.
-  std::string why;
-  const bool identical = SameResults(serial_report, parallel_report, why);
-  std::printf("parallel report identical to serial: %s%s%s\n",
-              identical ? "yes" : "NO (", identical ? "" : why.c_str(),
-              identical ? "" : ")");
-  std::printf("  %zu wifi frames / %zu bt packets / %zu detections\n",
+  const bool identical = rfdump::testing::ExactFingerprint(serial_report) ==
+                         rfdump::testing::ExactFingerprint(parallel_report);
+  std::printf("parallel report identical to serial: %s\n",
+              identical ? "yes" : "NO");
+  std::printf("  %zu wifi frames / %zu bt packets / %zu events / "
+              "%zu detections\n",
               serial_report.wifi_frames.size(),
-              serial_report.bt_packets.size(),
+              serial_report.bt_packets.size(), serial_report.events.size(),
               serial_report.detections.size());
 
   // Under ThreadSanitizer the run is a race check, not a timing experiment:

@@ -17,6 +17,7 @@
 #include "bench_common.hpp"
 #include "rfdump/core/supervisor.hpp"
 #include "rfdump/obs/obs.hpp"
+#include "rfdump/testing/supervise.hpp"
 #include "rfdump/util/work_budget.hpp"
 
 namespace {
@@ -55,8 +56,8 @@ int main() {
   constexpr std::uint64_t kSuperviseOps = 1'000'000;
   w.Reset();
   for (std::uint64_t i = 0; i < kSuperviseOps; ++i) {
-    sup.Supervise(core::Protocol::kWifi80211b, 0, 64, dummy,
-                  [](util::WorkBudget&) {});
+    rfdump::testing::Supervise(sup, core::Protocol::kWifi80211b, 0, 64,
+                               dummy, [](util::WorkBudget&) {});
   }
   const double t_supervise = NsPerOp(w.Seconds(), kSuperviseOps);
 
@@ -82,7 +83,7 @@ int main() {
       static_cast<double>(x.size()) / dsp::kSampleRateHz;
 
   core::RFDumpPipeline::Config cfg;
-  cfg.microwave_detector = true;
+  cfg.EnableBundle(core::Protocol::kMicrowave);
 
   // Unsupervised baseline (results reference + cache warmup).
   core::RFDumpPipeline baseline(cfg);

@@ -71,7 +71,7 @@ int main() {
     }
     core::Executor executor(width);
     core::RFDumpPipeline::Config cfg;
-    cfg.microwave_detector = true;
+    cfg.EnableBundle(core::Protocol::kMicrowave);
     cfg.executor = &executor;
     core::RFDumpPipeline pipeline(cfg);
     (void)pipeline.Process(x);  // warm caches before timing

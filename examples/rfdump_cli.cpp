@@ -28,6 +28,7 @@
 
 #include "rfdump/core/executor.hpp"
 #include "rfdump/core/pipeline.hpp"
+#include "rfdump/core/result_sink.hpp"
 #include "rfdump/dsp/simd.hpp"
 #include "rfdump/obs/obs.hpp"
 #include "rfdump/core/spectrogram.hpp"
@@ -359,6 +360,52 @@ int RunSelfTest(const std::string& corpus_root) {
   return ok ? 0 : 1;
 }
 
+// Collects the impaired run's frames, packets and detections into a report
+// and prints one [health] line per block. A non-stdout `metrics_path` is
+// rewritten every ~16 blocks (~0.8 s of ether at the 50 ms block size):
+// cheap enough, fresh enough to scrape.
+class ImpairedRunSink final : public core::ResultSink {
+ public:
+  ImpairedRunSink(core::MonitorReport& report, const std::string& metrics_path)
+      : report_(report),
+        metrics_path_(metrics_path),
+        periodic_metrics_(!metrics_path.empty() && metrics_path != "-") {}
+
+  void OnWifiFrame(const rfdump::phy80211::DecodedFrame& f) override {
+    report_.wifi_frames.push_back(f);
+  }
+  void OnBtPacket(const rfdump::phybt::DecodedBtPacket& p) override {
+    report_.bt_packets.push_back(p);
+  }
+  void OnDetection(const core::Detection& d) override {
+    report_.detections.push_back(d);
+  }
+  void OnHealth(const core::HealthReport& h) override {
+    std::printf(
+        "[health] block @%9.3f s: %llu samples, gaps %u (%lld lost), "
+        "dup %lld, sanitized %llu, sat %4.1f%%, stage %d, load %.3f, "
+        "tag %llu/rej %llu/fwd %llu\n",
+        static_cast<double>(h.block_start) / dsp::kSampleRateHz,
+        static_cast<unsigned long long>(h.block_samples), h.gap_count,
+        static_cast<long long>(h.gap_samples),
+        static_cast<long long>(h.overlap_samples),
+        static_cast<unsigned long long>(h.sanitized_samples),
+        100.0 * h.saturation_fraction, h.shed_stage, h.block_load,
+        static_cast<unsigned long long>(h.tagged_detections),
+        static_cast<unsigned long long>(h.rejected_detections),
+        static_cast<unsigned long long>(h.forwarded_intervals));
+    if (periodic_metrics_ && (++blocks_seen_ % 16 == 0)) {
+      DumpMetrics(metrics_path_);
+    }
+  }
+
+ private:
+  core::MonitorReport& report_;
+  const std::string& metrics_path_;
+  const bool periodic_metrics_;
+  std::uint64_t blocks_seen_ = 0;
+};
+
 // Replays `x` through an emulated hostile front end and monitors it with the
 // fault-tolerant streaming path. Returns the aggregate report; prints
 // per-block health lines as blocks complete. A non-stdout `metrics_path` is
@@ -376,39 +423,10 @@ core::MonitorReport MonitorImpaired(const dsp::SampleVec& x,
   rfdump::emu::FrontEnd frontend(x, fe, /*seed=*/7);
 
   mcfg.pipeline.saturation_amplitude = fe.clip_amplitude;
-  core::StreamingMonitor monitor(mcfg);
   core::MonitorReport report;
-  monitor.on_wifi_frame = [&](const rfdump::phy80211::DecodedFrame& f) {
-    report.wifi_frames.push_back(f);
-  };
-  monitor.on_bt_packet = [&](const rfdump::phybt::DecodedBtPacket& p) {
-    report.bt_packets.push_back(p);
-  };
-  monitor.on_detection = [&](const core::Detection& d) {
-    report.detections.push_back(d);
-  };
-  std::uint64_t blocks_seen = 0;
-  const bool periodic_metrics = !metrics_path.empty() && metrics_path != "-";
-  monitor.on_health = [&](const core::HealthReport& h) {
-    std::printf(
-        "[health] block @%9.3f s: %llu samples, gaps %u (%lld lost), "
-        "dup %lld, sanitized %llu, sat %4.1f%%, stage %d, load %.3f, "
-        "tag %llu/rej %llu/fwd %llu\n",
-        static_cast<double>(h.block_start) / dsp::kSampleRateHz,
-        static_cast<unsigned long long>(h.block_samples), h.gap_count,
-        static_cast<long long>(h.gap_samples),
-        static_cast<long long>(h.overlap_samples),
-        static_cast<unsigned long long>(h.sanitized_samples),
-        100.0 * h.saturation_fraction, h.shed_stage, h.block_load,
-        static_cast<unsigned long long>(h.tagged_detections),
-        static_cast<unsigned long long>(h.rejected_detections),
-        static_cast<unsigned long long>(h.forwarded_intervals));
-    // Refresh the exposition file every ~16 blocks (~0.8 s of ether at the
-    // 50 ms block size): cheap enough, fresh enough to scrape.
-    if (periodic_metrics && (++blocks_seen % 16 == 0)) {
-      DumpMetrics(metrics_path);
-    }
-  };
+  ImpairedRunSink sink(report, metrics_path);
+  mcfg.sink = &sink;
+  core::StreamingMonitor monitor(mcfg);
   while (!frontend.Done()) {
     const auto seg = frontend.NextSegment();
     if (!seg.samples.empty()) monitor.PushSegment(seg.start_sample, seg.samples);
@@ -979,56 +997,31 @@ int main(int argc, char** argv) {
     threads = static_cast<int>(std::thread::hardware_concurrency());
     if (threads < 1) threads = 1;
   }
-  // --protocols overrides the default bundle set: start from an empty mask
-  // and enable exactly the named bundles (EnableBundle also switches on the
-  // per-protocol detector/demod flags a bundle's hooks gate on).
-  const auto apply_protocols = [&](core::RFDumpPipeline::Config& cfg) {
-    if (!protocols_set) return;
-    cfg.bundle_mask = 0;
-    for (const auto& b : core::ProtocolRegistry::Instance().bundles()) {
-      if ((protocols_mask & core::BundleBit(b.protocol)) != 0) {
-        cfg.EnableBundle(b.protocol);
-      }
-    }
-  };
-  const auto apply_protocols_naive = [&](core::NaivePipeline::Config& cfg) {
-    if (protocols_set) cfg.bundle_mask = protocols_mask;
-  };
+  // One pipeline config for every mode. --protocols replaces the default
+  // bundle set (plus microwave) with exactly the named bundles.
+  core::RFDumpPipeline::Config pipeline;
+  pipeline.timing_detectors = (detectors != "phase");
+  pipeline.phase_detectors = (detectors != "timing");
+  pipeline.collision_detector = collisions;
+  pipeline.EnableBundle(core::Protocol::kMicrowave);
+  pipeline.noise_floor_power = noise_floor;
+  pipeline.analysis.demodulate = !no_demod;
+  if (protocols_set) pipeline.bundle_mask = protocols_mask;
+  core::StreamingMonitor::Config mcfg;
+  mcfg.pipeline = pipeline;
+  mcfg.block_samples = 400'000;  // 50 ms blocks: visible health cadence
+  mcfg.overlap_samples = 160'000;
+  mcfg.threads = threads;
   if (!connect_hp.empty()) {
     std::string host;
     std::uint16_t port = 0;
     if (!ParseHostPort("--connect", connect_hp, &host, &port)) return 2;
-    core::StreamingMonitor::Config mcfg;
-    mcfg.pipeline.timing_detectors = (detectors != "phase");
-    mcfg.pipeline.phase_detectors = (detectors != "timing");
-    mcfg.pipeline.collision_detector = collisions;
-    mcfg.pipeline.microwave_detector = true;
-    mcfg.pipeline.noise_floor_power = noise_floor;
-    mcfg.pipeline.analysis.demodulate = !no_demod;
-    mcfg.block_samples = 400'000;
-    mcfg.overlap_samples = 160'000;
-    mcfg.threads = threads;
-    apply_protocols(mcfg.pipeline);
     return RunTcpConnect(x, host, port, sensor_id, mcfg, max_seconds);
   }
   if (fleet_sensors > 0) {
-    core::StreamingMonitor::Config mcfg;
-    mcfg.pipeline.timing_detectors = (detectors != "phase");
-    mcfg.pipeline.phase_detectors = (detectors != "timing");
-    mcfg.pipeline.collision_detector = collisions;
-    mcfg.pipeline.microwave_detector = true;
-    mcfg.pipeline.noise_floor_power = noise_floor;
-    mcfg.pipeline.analysis.demodulate = !no_demod;
-    mcfg.block_samples = 400'000;
-    mcfg.overlap_samples = 160'000;
-    mcfg.threads = threads;
-    apply_protocols(mcfg.pipeline);
     return RunFleet(x, fleet_sensors, mcfg, fleet_status, fleet_status_json,
                     metrics_path, trace_path_out);
   }
-  // One executor for the whole run: Executor(1) is serial inline (no pool),
-  // wider widths fan the analysis stage out per interval x protocol.
-  core::Executor executor(threads);
 
   core::MonitorReport report;
   if (impair) {
@@ -1036,41 +1029,23 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "--impair uses the rfdump streaming monitor\n");
       return 2;
     }
-    core::StreamingMonitor::Config mcfg;
-    mcfg.pipeline.timing_detectors = (detectors != "phase");
-    mcfg.pipeline.phase_detectors = (detectors != "timing");
-    mcfg.pipeline.collision_detector = collisions;
-    mcfg.pipeline.microwave_detector = true;
-    mcfg.pipeline.noise_floor_power = noise_floor;
-    mcfg.pipeline.analysis.demodulate = !no_demod;
-    mcfg.block_samples = 400'000;  // 50 ms blocks: visible health cadence
-    mcfg.threads = threads;
     mcfg.cpu_budget = budget;
     mcfg.supervisor.demod_limits.max_cpu_seconds = deadline;
-    apply_protocols(mcfg.pipeline);
     report = MonitorImpaired(x, mcfg, metrics_path, quarantine_dir);
-  } else if (arch == "naive" || arch == "energy") {
-    core::NaivePipeline::Config cfg;
-    cfg.energy_gate = (arch == "energy");
-    cfg.noise_floor_power = noise_floor;
-    cfg.analysis.demodulate = !no_demod;
-    cfg.executor = &executor;
-    apply_protocols_naive(cfg);
-    report = core::NaivePipeline(cfg).Process(x);
-  } else if (arch == "rfdump") {
-    core::RFDumpPipeline::Config cfg;
-    cfg.timing_detectors = (detectors != "phase");
-    cfg.phase_detectors = (detectors != "timing");
-    cfg.collision_detector = collisions;
-    cfg.microwave_detector = true;
-    cfg.noise_floor_power = noise_floor;
-    cfg.analysis.demodulate = !no_demod;
-    cfg.executor = &executor;
-    apply_protocols(cfg);
-    report = core::RFDumpPipeline(cfg).Process(x);
   } else {
-    std::fprintf(stderr, "unknown --arch %s\n", arch.c_str());
-    return 2;
+    if (arch == "naive") {
+      pipeline.architecture = core::Architecture::kNaive;
+    } else if (arch == "energy") {
+      pipeline.architecture = core::Architecture::kNaiveEnergy;
+    } else if (arch != "rfdump") {
+      std::fprintf(stderr, "unknown --arch %s\n", arch.c_str());
+      return 2;
+    }
+    // Executor(1) runs the analysis inline; wider widths fan it out per
+    // interval x protocol.
+    core::Executor executor(threads);
+    pipeline.executor = &executor;
+    report = core::RFDumpPipeline(pipeline).Process(x);
   }
   if (waterfall) {
     const auto gram = rfdump::core::ComputeSpectrogram(x);

@@ -32,7 +32,7 @@ int main() {
 
   // Monitor with microwave detection enabled.
   core::RFDumpPipeline::Config cfg;
-  cfg.microwave_detector = true;
+  cfg.EnableBundle(core::Protocol::kMicrowave);
   core::RFDumpPipeline pipeline(cfg);
   const auto report = pipeline.Process(x);
 

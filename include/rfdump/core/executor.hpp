@@ -5,8 +5,8 @@
 // buys enough headroom to run many expensive demodulators; the demodulator
 // bank itself (1 x 802.11 + 8 x per-channel Bluetooth) is embarrassingly
 // parallel across dispatched intervals. The Executor turns that into wall
-// clock: a fixed-width work-stealing thread pool over which the pipelines
-// fan out per-interval analysis tasks, with a serial inline mode that is the
+// clock: a fixed-width work-stealing thread pool over which the pipeline
+// fans out per-interval analysis tasks, with a serial inline mode that is the
 // default and is byte-for-byte the pre-parallel behavior.
 //
 // Width semantics: Executor(N) means N analysis workers total — N-1 pool
@@ -17,13 +17,13 @@
 // Scheduling: each pool thread owns a deque; submissions are distributed
 // round-robin; an idle worker first drains its own deque (FIFO) and then
 // steals from its siblings. Tasks must not block on other tasks — the
-// pipelines only submit leaf demodulation units, so a waiting thread that
+// pipeline only submits leaf demodulation units, so a waiting thread that
 // "helps" can never deadlock.
 //
 // Determinism contract: the Executor guarantees only that every task
 // submitted to a Batch has completed when Wait() returns, and that the
 // first task exception is rethrown there. Callers that need deterministic
-// output (the pipelines' ordered merge) give each task its own result slot
+// output (the pipeline's ordered merge) give each task its own result slot
 // and combine the slots in submission order after Wait().
 
 #include <condition_variable>
@@ -69,6 +69,10 @@ class Executor {
 
     /// Submits one task. Inline batches run it immediately at this call.
     void Run(std::function<void()> fn);
+
+    /// True when Run() executes each task at the call (null or serial
+    /// executor), so a task is complete as soon as Run() returns.
+    [[nodiscard]] bool runs_inline() const noexcept { return !state_; }
 
     /// Blocks until every submitted task has completed, helping to drain
     /// the pool while waiting, then rethrows the first stored exception.

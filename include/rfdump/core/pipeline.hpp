@@ -1,14 +1,16 @@
 #pragma once
-// The three monitoring architectures evaluated in the paper (§2, §5.2):
+// The three monitoring architectures evaluated in the paper (§2, §5.2) are
+// one demodulator bank fed by three detect policies, selected by
+// RFDumpPipeline::Config::architecture:
 //
-//  * NaivePipeline            — Figure 1: every sample goes to every
-//                               demodulator (1 x 802.11 + 8 x Bluetooth).
-//  * NaivePipeline + energy   — an energy gate before all demodulators.
-//  * RFDumpPipeline           — Figure 2: protocol-agnostic peak detection,
-//                               cheap protocol-specific detectors on metadata,
-//                               demodulators only on tagged sample ranges.
+//  * kNaive        — Figure 1: every sample goes to every demodulator
+//                    (1 x 802.11 + 8 x Bluetooth).
+//  * kNaiveEnergy  — an energy gate before all demodulators.
+//  * kRFDump       — Figure 2: protocol-agnostic peak detection, cheap
+//                    protocol-specific detectors on metadata, demodulators
+//                    only on tagged sample ranges.
 //
-// Each pipeline reports what it found plus a per-stage CPU cost breakdown,
+// The pipeline reports what it found plus a per-stage CPU cost breakdown,
 // which is what the Table 1 / Figure 9 benches print.
 
 #include <cstdint>
@@ -102,8 +104,6 @@ struct MonitorReport {
 /// Shared demodulator bank configuration.
 struct AnalysisConfig {
   bool demodulate = true;      // false: detection only (Fig 9 "no demod")
-  bool wifi_demod = true;
-  bool zigbee_demod = false;   // decode 802.15.4 frames in tagged ranges
   int bt_demods = 8;           // one per visible Bluetooth channel
   std::uint8_t bt_uap = 0x47;  // UAP known to the monitor (see DESIGN.md)
   /// Registry bundles whose intervals the analysis stage will demodulate
@@ -137,40 +137,54 @@ struct DetectOutput {
 };
 
 /// Runs the demodulator bank over `det.report.dispatched` and returns the
-/// completed report. `x` must be the same span Detect() saw. A null or
-/// serial `executor` reproduces the historical single-threaded analysis
-/// byte-for-byte; a parallel executor fans each interval x protocol
-/// demodulation out as independent tasks and merges result slots in
-/// submission order, so the result-bearing report fields are identical to
-/// the serial run. `sink`, when set, receives every report entry (health
-/// first, then detections/frames/packets) after analysis completes.
+/// completed report. `x` must be the same span Detect() saw. Every interval
+/// x analysis unit is one task of an Executor::Batch: a null or serial
+/// `executor` runs them inline in submission order, a wider one fans them
+/// out. Result slots are merged in submission order, so the result-bearing
+/// report fields are identical at every width. A throwing unit never stops
+/// its siblings; without a supervisor the first throw (in submission order)
+/// is rethrown after the merge. `sink`, when set, receives every report
+/// entry (health first, then detections/frames/packets) after analysis
+/// completes.
 [[nodiscard]] MonitorReport AnalyzeDetections(DetectOutput det,
                                               dsp::const_sample_span x,
                                               Executor* executor = nullptr,
                                               ResultSink* sink = nullptr);
 
-/// RFDump architecture (Figure 2).
+/// The paper's three monitoring architectures: which detect policy feeds
+/// the (shared) demodulator bank.
+enum class Architecture {
+  kRFDump,       // Figure 2: peaks -> protocol detectors -> tagged ranges
+  kNaive,        // Figure 1: the full capture to every naive_member bundle
+  kNaiveEnergy,  // Figure 1 + energy gate: every peak to every member
+};
+
+/// The monitoring pipeline: one Detect policy per Architecture, one
+/// analysis stage (AnalyzeDetections).
 class RFDumpPipeline {
  public:
   struct Config {
+    Architecture architecture = Architecture::kRFDump;
+    // Detector-family ablation switches (kRFDump only).
     bool timing_detectors = true;   // 802.11 SIFS/DIFS + BT slot timing
     bool phase_detectors = true;    // DBPSK pattern + GFSK
     bool freq_detector = false;     // FFT-based BT detector (off by default,
                                     // like the paper's prototype)
-    bool microwave_detector = false;
-    bool zigbee_detector = false;
     /// Collision detection (paper future work): flags peaks whose power
     /// profile steps mid-burst as overlapping transmissions.
     bool collision_detector = false;
     /// Registry bundles whose detectors run and whose detections are
-    /// dispatched (bit = BundleBit(protocol)). Defaults to the registry's
-    /// default-enabled set — the historical four protocols; non-default
-    /// bundles (e.g. BLE advertising) are opted in via EnableBundle().
+    /// dispatched (bit = BundleBit(protocol)) — the only per-protocol on/off
+    /// switch. Defaults to the registry's default-enabled set (802.11 and
+    /// Bluetooth); the others (microwave, ZigBee, BLE advertising) are
+    /// opted in via EnableBundle(). The naive architectures host every
+    /// naive_member bundle in the mask.
     std::uint32_t bundle_mask = DefaultBundleMask();
     double noise_floor_power = 1.0;
     double dispatch_pad_us = 40.0;  // padding around dispatched intervals
     /// Input health scan: count non-finite samples and samples at the ADC
-    /// rail before detection, reported via MonitorReport::health.
+    /// rail before detection, reported via MonitorReport::health (kRFDump
+    /// only).
     bool health_scan = true;
     /// |I| or |Q| at or above ~this amplitude counts as saturated (matches
     /// the emulator's default ADC full scale). 0 disables the check.
@@ -184,18 +198,16 @@ class RFDumpPipeline {
     /// streaming monitor always wires its own supervisor here.
     Supervisor* supervisor = nullptr;
     /// Analysis-stage execution engine (non-owning; DESIGN.md §10). Null or
-    /// Executor(1): serial inline analysis, the historical behaviour. A
-    /// wider executor parallelises demodulation with a deterministic
-    /// ordered merge — result-bearing report fields are bit-identical.
+    /// Executor(1): the analysis tasks run inline. A wider executor
+    /// parallelises demodulation with a deterministic ordered merge —
+    /// result-bearing report fields are bit-identical.
     Executor* executor = nullptr;
     /// Optional live consumer: Process() emits every report entry into the
     /// sink after analysis (non-owning; see core/result_sink.hpp).
     ResultSink* sink = nullptr;
 
-    /// Enables one registry bundle: sets its bundle_mask bit and — for the
-    /// historical protocols that predate the mask — the matching legacy
-    /// detector/demod booleans, so either switch form stays consistent.
-    void EnableBundle(Protocol p);
+    /// Enables one registry bundle (sets its bundle_mask bit).
+    void EnableBundle(Protocol p) { bundle_mask |= BundleBit(p); }
   };
 
   RFDumpPipeline();
@@ -209,42 +221,6 @@ class RFDumpPipeline {
   /// Detection stages only (no demodulation); feed the result to
   /// AnalyzeDetections(). Stateless across calls, so one thread may Detect
   /// block N+1 while another analyzes block N.
-  [[nodiscard]] DetectOutput Detect(dsp::const_sample_span x);
-
-  const Config& config() const { return config_; }
-
- private:
-  Config config_;
-};
-
-/// Naive architecture (Figure 1), optionally with the energy-detection gate.
-class NaivePipeline {
- public:
-  struct Config {
-    bool energy_gate = false;   // true: "naive with energy detection"
-    /// Registry bundles this naive monitor hosts: every naive_member bundle
-    /// in the mask gets a full-span interval (pure naive) or per-peak
-    /// intervals (energy gate). Same bit layout as RFDumpPipeline's mask.
-    std::uint32_t bundle_mask = DefaultBundleMask();
-    double noise_floor_power = 1.0;
-    double dispatch_pad_us = 40.0;
-    AnalysisConfig analysis;
-
-    /// Same contract as RFDumpPipeline::Config::EnableBundle.
-    void EnableBundle(Protocol p) { bundle_mask |= BundleBit(p); }
-    /// Same contract as RFDumpPipeline::Config::supervisor.
-    Supervisor* supervisor = nullptr;
-    /// Same contracts as RFDumpPipeline::Config::{executor, sink}.
-    Executor* executor = nullptr;
-    ResultSink* sink = nullptr;
-  };
-
-  NaivePipeline();
-  explicit NaivePipeline(Config config);
-
-  [[nodiscard]] MonitorReport Process(dsp::const_sample_span x);
-
-  /// Detection/gating stages only; same contract as RFDumpPipeline::Detect.
   [[nodiscard]] DetectOutput Detect(dsp::const_sample_span x);
 
   const Config& config() const { return config_; }

@@ -53,16 +53,15 @@ struct ProtocolEvent {
   std::vector<std::uint8_t> payload;    // decoded payload / PDU bytes
 };
 
-/// Pipeline-level switches handed to a bundle's detector factory. Each
-/// bundle gates its own hooks on the relevant switches (e.g. the ZigBee
-/// bundle returns no hooks unless zigbee_detector is set), which keeps the
-/// pipeline free of per-protocol conditionals.
+/// Pipeline-level detector-family switches handed to a bundle's detector
+/// factory. Each bundle gates its own hooks on the relevant families (e.g.
+/// the 802.11 bundle returns no timing hook unless timing_detectors is set),
+/// which keeps the pipeline free of per-protocol conditionals. Whether a
+/// bundle runs at all is decided by the bundle mask alone.
 struct DetectorSetup {
   bool timing_detectors = true;
   bool phase_detectors = true;
   bool freq_detector = false;
-  bool microwave_detector = false;
-  bool zigbee_detector = false;
   double noise_floor_power = 1.0;
 };
 
@@ -86,9 +85,9 @@ struct ProtocolDetectors {
 /// How the analysis stage fans an interval tagged with this protocol out
 /// into supervised task units.
 struct AnalysisPlan {
-  /// Number of independent demodulation units per interval. Negative means
-  /// the interval is skipped entirely (no supervision boundary is opened).
-  int units = -1;
+  /// Number of independent demodulation units per interval. Every
+  /// interval opens a supervision boundary, even with zero units.
+  int units = 0;
   /// Stop launching units once the interval's work budget has expired
   /// (multi-channel scans charge the shared budget per channel).
   bool check_budget = false;

@@ -1,7 +1,7 @@
 #pragma once
 // Streaming monitor: the real-time operating mode.
 //
-// The experiment pipelines process one recorded trace per call (the paper's
+// The experiment pipeline processes one recorded trace per call (the paper's
 // evaluation mode). A live monitor instead receives the front-end stream in
 // arbitrary-size segments and must emit results continuously while keeping
 // up with the sample rate. StreamingMonitor wraps the RFDump pipeline in a
@@ -41,7 +41,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -107,16 +106,16 @@ class StreamingMonitor {
     /// is reported to the shed controller as overload. Must be >= 1.
     std::size_t max_queue_blocks = 2;
 
-    /// Unified result sink (non-owning; see core/result_sink.hpp): decoded
-    /// frames/packets, detections and per-block health all emit here, from
-    /// one synchronised emission point. The legacy on_* callback members on
-    /// the monitor still fire (back-compat shims through the same path) but
-    /// are deprecated in favour of this.
+    /// Result sink (non-owning; see core/result_sink.hpp): decoded
+    /// frames/packets/events, detections and per-block health all emit
+    /// here, from one synchronised emission point, in absolute stream
+    /// positions.
     ResultSink* sink = nullptr;
 
     /// CPU-over-real-time budget per block. 0 disables load shedding.
     /// When a block's load exceeds the budget the monitor sheds one stage:
-    ///   1: optional detectors off (freq/microwave/zigbee/collision)
+    ///   1: optional detectors off (freq/collision, microwave/ZigBee
+    ///      bundles cleared from the mask)
     ///   2: + demodulation only for tags with confidence >= shed_min_confidence
     ///   3: + no demodulation at all (detection-only)
     double cpu_budget = 0.0;
@@ -158,7 +157,7 @@ class StreamingMonitor {
   /// `PushSegment(next_expected_timestamp, segment)`: the timestamp
   /// auto-advances past everything pushed so far (first call anchors the
   /// stream at 0), so there is exactly one ingest path and mixing Push with
-  /// PushSegment is well-defined. May invoke sink/callbacks.
+  /// PushSegment is well-defined. May invoke the sink.
   void Push(dsp::const_sample_span segment);
 
   /// Feeds a timestamped segment: `start_sample` is the absolute stream
@@ -174,16 +173,6 @@ class StreamingMonitor {
   /// for pushed samples has been emitted and the accessors below are safe
   /// to read even with threads >= 2.
   void Flush();
-
-  /// Legacy per-event callbacks (positions are absolute stream indices).
-  /// Deprecated: thin shims kept for one release — they are invoked through
-  /// the same single emission point as Config::sink, which also receives
-  /// ZigBee frames (these callbacks never did). Prefer Config::sink.
-  std::function<void(const phy80211::DecodedFrame&)> on_wifi_frame;
-  std::function<void(const phybt::DecodedBtPacket&)> on_bt_packet;
-  std::function<void(const Detection&)> on_detection;
-  /// Called once per processed block with that block's health.
-  std::function<void(const HealthReport&)> on_health;
 
   /// Aggregate stage costs across all processed blocks.
   const std::vector<StageCost>& costs() const { return costs_; }
@@ -258,12 +247,11 @@ class StreamingMonitor {
   /// Summary/ring/metrics bookkeeping + health emission (tally-free; safe
   /// from the analyzer thread).
   void RecordHealth(const HealthReport& h);
-  // The single emission point: Config::sink plus the legacy callback shims.
-  void EmitWifi(const phy80211::DecodedFrame& f);
-  void EmitBt(const phybt::DecodedBtPacket& p);
-  void EmitZb(const phyzigbee::DecodedZbFrame& z);
-  void EmitEvent(const ProtocolEvent& e);
-  void EmitDetection(const Detection& d);
+  /// The single result emission point: rebases a block's report by `base`
+  /// and hands Config::sink every result the block owns — those starting
+  /// in [emit_from, boundary), minus frames truncated by a gap cut.
+  void EmitOwned(MonitorReport& report, std::int64_t base,
+                 std::int64_t emit_from, std::int64_t boundary, bool gap_cut);
   void UpdateShedding(double block_load, bool deadline_pressure,
                       bool backpressure);
   void ApplyShedStage();

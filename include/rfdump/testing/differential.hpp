@@ -6,10 +6,10 @@
 // oracle turns that into an executable assertion: one rendered scenario is
 // monitored by
 //
-//   * NaivePipeline, energy gate off   (Figure 1)
-//   * NaivePipeline, energy gate on    (Figure 1 + energy detection)
-//   * RFDumpPipeline at executor width 1
-//   * RFDumpPipeline at executor width N (the parallel analysis path)
+//   * Architecture::kNaive        (Figure 1)
+//   * Architecture::kNaiveEnergy  (Figure 1 + energy detection)
+//   * Architecture::kRFDump at executor width 1 (analysis inline)
+//   * Architecture::kRFDump at executor width N (analysis fanned out)
 //
 // and the decoded frame/packet sets are compared:
 //

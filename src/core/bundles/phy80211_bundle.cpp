@@ -147,9 +147,9 @@ ProtocolBundle MakeWifiBundle() {
     return d;
   };
 
-  b.analysis_plan = [](const AnalysisConfig& a) {
+  b.analysis_plan = [](const AnalysisConfig&) {
     AnalysisPlan p;
-    p.units = a.wifi_demod ? 1 : -1;
+    p.units = 1;
     p.stage = "analysis/80211-demod";
     return p;
   };

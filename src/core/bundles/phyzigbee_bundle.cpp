@@ -83,7 +83,7 @@ ProtocolBundle MakeZigbeeBundle() {
       {Protocol::kZigbee, "802.15.4 (ZigBee)", 320.0, 192.0,
        Modulation::kOqpsk, "DSSS-32", 5.0, 62.5e3},
   };
-  b.default_enabled = true;
+  b.default_enabled = false;
   b.naive_member = false;
   b.differential_member = false;
   b.oracle_scored = true;
@@ -91,21 +91,19 @@ ProtocolBundle MakeZigbeeBundle() {
   // detector before the ZigBee one.
   b.detect_rank = 3;
 
-  b.make_detectors = [](const DetectorSetup& setup) {
+  b.make_detectors = [](const DetectorSetup&) {
     ProtocolDetectors d;
-    if (setup.zigbee_detector) {
-      auto timing = std::make_shared<ZigbeeTimingDetector>();
-      d.on_peaks = [timing](std::span<const Peak> fresh) {
-        return timing->OnPeaks(fresh);
-      };
-      d.peaks_stage = "detect/timing-zigbee";
-    }
+    auto timing = std::make_shared<ZigbeeTimingDetector>();
+    d.on_peaks = [timing](std::span<const Peak> fresh) {
+      return timing->OnPeaks(fresh);
+    };
+    d.peaks_stage = "detect/timing-zigbee";
     return d;
   };
 
-  b.analysis_plan = [](const AnalysisConfig& a) {
+  b.analysis_plan = [](const AnalysisConfig&) {
     AnalysisPlan p;
-    p.units = a.zigbee_demod ? 1 : -1;
+    p.units = 1;
     p.check_budget = true;
     p.stage = "analysis/zigbee-demod";
     return p;

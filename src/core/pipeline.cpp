@@ -58,6 +58,9 @@ class CostLedger {
   std::map<std::string, std::pair<double, std::uint64_t>> entries_;
 };
 
+/// Scratch tag of the detect policies' |x|^2 plane.
+struct PowerPlaneTag {};
+
 std::int64_t UsToSamples(double us) {
   return static_cast<std::int64_t>(us * 1e-6 * dsp::kSampleRateHz + 0.5);
 }
@@ -83,9 +86,9 @@ class PerProtocolCounter {
 };
 
 // Deduplicates frames/packets found by more than one pass over overlapping
-// intervals. Runs on the full per-report vectors, so serial and parallel
-// analysis produce identical output as long as they append in the same
-// (interval x unit) submission order — which both do.
+// intervals. Runs on the full per-report vectors, so the output does not
+// depend on the executor width as long as results are appended in
+// (interval x unit) submission order — which the ordered merge guarantees.
 void DedupAnalysisResults(MonitorReport& report) {
   std::sort(report.bt_packets.begin(), report.bt_packets.end(),
             [](const auto& a, const auto& b) {
@@ -145,83 +148,32 @@ void BuildEventView(MonitorReport& report) {
 }
 
 // Runs the demodulator bank over the given per-protocol merged intervals
-// (pass a single full-span detection per protocol for the naive paths).
-// Which protocols run, how many units each interval fans out into, and what
-// a unit does all come from the interval's registry bundle. With a
-// supervisor, each interval's analysis runs inside a stage boundary (armed
-// WorkBudget, exception containment, breaker, quarantine); without one, the
-// closure runs directly with an unarmed (unlimited) budget, which preserves
-// the exact unsupervised batch semantics.
-void RunAnalysisSerial(const AnalysisConfig& analysis,
-                       double noise_floor_power, Supervisor* sup,
-                       const std::vector<Detection>& intervals,
-                       dsp::const_sample_span x, CostLedger& ledger,
-                       MonitorReport& report) {
-  util::WorkBudget unlimited;
-  const auto supervised =
-      [&](const Detection& d, dsp::const_sample_span span,
-          const std::function<void(util::WorkBudget&)>& fn) {
-        if (sup) {
-          return sup->Supervise(d.protocol, d.start_sample, d.end_sample,
-                                span, fn);
-        }
-        fn(unlimited);
-        return Outcome::kOk;
-      };
-  const auto& registry = ProtocolRegistry::Instance();
-  for (const auto& d : intervals) {
-    const ProtocolBundle* bundle = registry.Find(d.protocol);
-    if (bundle == nullptr || !bundle->analysis_plan ||
-        (analysis.bundle_mask & BundleBit(d.protocol)) == 0) {
-      continue;  // no analysis stage for this protocol
-    }
-    const AnalysisPlan plan = bundle->analysis_plan(analysis);
-    if (plan.units < 0) continue;  // disabled: no supervision boundary
-    const auto span = x.subspan(
-        static_cast<std::size_t>(d.start_sample),
-        static_cast<std::size_t>(d.end_sample - d.start_sample));
-    // All units of one interval share the interval's budget, so a runaway
-    // unit cannot starve the block (remaining units see the expired budget
-    // and bail when the bundle opts into the check).
-    supervised(d, span, [&](util::WorkBudget& budget) {
-      for (int unit = 0; unit < plan.units; ++unit) {
-        if (plan.check_budget && budget.expired()) break;
-        CostLedger::Scope scope(ledger, plan.stage, span.size());
-        AnalysisUnitContext ctx;
-        ctx.span = span;
-        ctx.start_sample = d.start_sample;
-        ctx.analysis = &analysis;
-        ctx.noise_floor_power = noise_floor_power;
-        ctx.budget = &budget;
-        if (AnalysisCommit commit = bundle->run_unit(ctx, unit)) {
-          commit(report);
-        }
-      }
-    });
-  }
-  DedupAnalysisResults(report);
-}
-
-// The parallel analysis path (DESIGN.md §10). Each dispatched interval x
-// analysis unit — e.g. every per-channel Bluetooth pass — is submitted as
-// one independent task writing into its own result slot; after the batch
-// joins, slots are merged in submission order, so the result-bearing report
-// fields are bit-identical to the serial run.
+// (DESIGN.md §10). Which protocols run, how many units each interval fans
+// out into, and what a unit does all come from the interval's registry
+// bundle. Each interval x unit — e.g. every per-channel Bluetooth pass — is
+// one task of an Executor::Batch writing into its own result slot; a null
+// or serial executor runs each task inline as it is submitted. Slots are
+// merged in submission order, so the result-bearing report fields do not
+// depend on the width.
 //
 // Supervision uses the split boundary: Admit() on this (driver) thread in
 // interval order — deterministic breaker decisions — and one Finish() per
 // admitted interval at merge time, also in interval order, combining the
 // unit outcomes (first throwing unit in submission order wins the error
-// slot). Unlike the serial path, a throwing unit does not abort its sibling
-// channel units: they run to completion and their results are kept (the
-// "one worker cannot poison siblings" guarantee).
-void RunAnalysisParallel(const AnalysisConfig& analysis,
-                         double noise_floor_power, Supervisor* sup,
-                         Executor* ex, const std::vector<Detection>& intervals,
-                         dsp::const_sample_span x, CostLedger& ledger,
-                         MonitorReport& report) {
+// slot). A throwing unit never stops its siblings: they run to completion
+// and their results are kept. An interval is merged as soon as its units
+// are done — at once when the batch runs inline, after Wait() otherwise —
+// so inline, a breaker trip already applies to the block's next interval.
+// Without a supervisor the units share one unarmed (unlimited) budget and
+// the first throw is rethrown after the merge.
+void RunAnalysis(const AnalysisConfig& analysis, double noise_floor_power,
+                 Supervisor* sup, Executor* ex,
+                 const std::vector<Detection>& intervals,
+                 dsp::const_sample_span x, CostLedger& ledger,
+                 MonitorReport& report) {
+  if (!analysis.demodulate) return;
   // One result slot per task. Slots are written by exactly one worker each
-  // and only read after Batch::Wait(), so they need no locking.
+  // and only read once the task has completed, so they need no locking.
   struct UnitOut {
     const char* stage = nullptr;
     std::uint64_t samples = 0;
@@ -234,85 +186,14 @@ void RunAnalysisParallel(const AnalysisConfig& analysis,
   struct IntervalJob {
     dsp::const_sample_span span;
     std::shared_ptr<Supervisor::Admission> admission;  // null without sup
-    bool run_units = true;
     std::vector<UnitOut> units;
   };
 
   // Shared by every task when unsupervised; WorkBudget::Charge is
   // documented safe under concurrent callers.
   util::WorkBudget unlimited;
-  std::deque<IntervalJob> jobs;  // deque: stable addresses for task captures
-  Executor::Batch batch(ex);
-  const auto& registry = ProtocolRegistry::Instance();
-
-  for (const auto& d : intervals) {
-    // Unit plan per protocol from the registry, mirroring the serial path
-    // exactly: a disabled bundle (negative unit count) never opens a
-    // supervision boundary; a zero-unit plan (e.g. Bluetooth with zero
-    // channels configured) still does.
-    const ProtocolBundle* bundle = registry.Find(d.protocol);
-    if (bundle == nullptr || !bundle->analysis_plan ||
-        (analysis.bundle_mask & BundleBit(d.protocol)) == 0) {
-      continue;  // no analysis stage for this protocol
-    }
-    const AnalysisPlan plan = bundle->analysis_plan(analysis);
-    if (plan.units < 0) continue;
-
-    jobs.emplace_back();
-    IntervalJob& job = jobs.back();
-    job.span = x.subspan(
-        static_cast<std::size_t>(d.start_sample),
-        static_cast<std::size_t>(d.end_sample - d.start_sample));
-    if (sup != nullptr) {
-      job.admission =
-          sup->Admit(d.protocol, d.start_sample, d.end_sample, job.span);
-      job.run_units = job.admission->admitted;
-    }
-    if (!job.run_units) continue;
-    job.units.resize(static_cast<std::size_t>(plan.units));
-    util::WorkBudget* budget =
-        job.admission ? &job.admission->budget : &unlimited;
-    const std::int64_t start = d.start_sample;
-    const auto span = job.span;
-
-    for (int unit = 0; unit < plan.units; ++unit) {
-      UnitOut* out = &job.units[static_cast<std::size_t>(unit)];
-      batch.Run([out, bundle, plan, budget, span, start, unit,
-                 noise_floor_power, &analysis] {
-        if (plan.check_budget && budget->expired()) {
-          return;  // the serial path's early break
-        }
-        out->ran = true;
-        out->stage = plan.stage;
-        out->samples = span.size();
-        obs::Stopwatch w;
-        obs::TraceSpan trace(plan.stage);
-        try {
-          AnalysisUnitContext ctx;
-          ctx.span = span;
-          ctx.start_sample = start;
-          ctx.analysis = &analysis;
-          ctx.noise_floor_power = noise_floor_power;
-          ctx.budget = budget;
-          out->commit = bundle->run_unit(ctx, unit);
-        } catch (const std::exception& e) {
-          out->error = std::current_exception();
-          out->error_text = e.what();
-        } catch (...) {
-          out->error = std::current_exception();
-          out->error_text = "non-std exception";
-        }
-        out->cpu = w.Seconds();
-      });
-    }
-  }
-
-  batch.Wait();
-
-  // Deterministic ordered merge: jobs in interval order, units in
-  // submission order — the exact append order of the serial path.
   std::exception_ptr unsupervised_error;
-  for (IntervalJob& job : jobs) {
+  const auto merge = [&](IntervalJob& job) {
     std::exception_ptr first_error;
     std::string error_text;
     for (UnitOut& u : job.units) {
@@ -334,27 +215,79 @@ void RunAnalysisParallel(const AnalysisConfig& analysis,
     } else if (!job.admission && first_error && !unsupervised_error) {
       unsupervised_error = first_error;
     }
+  };
+
+  std::deque<IntervalJob> jobs;  // deque: stable addresses for task captures
+  Executor::Batch batch(ex);
+  const auto& registry = ProtocolRegistry::Instance();
+
+  for (const auto& d : intervals) {
+    // A masked-off bundle never opens a supervision boundary; a zero-unit
+    // plan (e.g. Bluetooth with zero channels configured) still does.
+    const ProtocolBundle* bundle = registry.Find(d.protocol);
+    if (bundle == nullptr || !bundle->analysis_plan ||
+        (analysis.bundle_mask & BundleBit(d.protocol)) == 0) {
+      continue;  // no analysis stage for this protocol
+    }
+    const AnalysisPlan plan = bundle->analysis_plan(analysis);
+
+    IntervalJob& job = jobs.emplace_back();
+    job.span = x.subspan(
+        static_cast<std::size_t>(d.start_sample),
+        static_cast<std::size_t>(d.end_sample - d.start_sample));
+    if (sup != nullptr) {
+      job.admission =
+          sup->Admit(d.protocol, d.start_sample, d.end_sample, job.span);
+    }
+    if (!job.admission || job.admission->admitted) {
+      job.units.resize(static_cast<std::size_t>(std::max(plan.units, 0)));
+    }
+    // All units of one interval share the interval's budget, so a runaway
+    // unit cannot starve the block (later units see the expired budget and
+    // bail when the bundle opts into the check).
+    util::WorkBudget* budget =
+        job.admission ? &job.admission->budget : &unlimited;
+    const std::int64_t start = d.start_sample;
+    const auto span = job.span;
+    for (std::size_t unit = 0; unit < job.units.size(); ++unit) {
+      UnitOut* out = &job.units[unit];
+      batch.Run([out, bundle, plan, budget, span, start, unit,
+                 noise_floor_power, &analysis] {
+        if (plan.check_budget && budget->expired()) return;
+        out->ran = true;
+        out->stage = plan.stage;
+        out->samples = span.size();
+        obs::Stopwatch w;
+        obs::TraceSpan trace(plan.stage);
+        try {
+          AnalysisUnitContext ctx;
+          ctx.span = span;
+          ctx.start_sample = start;
+          ctx.analysis = &analysis;
+          ctx.noise_floor_power = noise_floor_power;
+          ctx.budget = budget;
+          out->commit = bundle->run_unit(ctx, static_cast<int>(unit));
+        } catch (const std::exception& e) {
+          out->error = std::current_exception();
+          out->error_text = e.what();
+        } catch (...) {
+          out->error = std::current_exception();
+          out->error_text = "non-std exception";
+        }
+        out->cpu = w.Seconds();
+      });
+    }
+    if (batch.runs_inline()) {
+      merge(job);
+      jobs.pop_back();
+    }
   }
-  // Unsupervised semantics: a demodulator throw propagates out of the
-  // pipeline (first failing unit in submission order, deterministically).
+
+  batch.Wait();
+  for (IntervalJob& job : jobs) merge(job);
   if (unsupervised_error) std::rethrow_exception(unsupervised_error);
 
   DedupAnalysisResults(report);
-}
-
-void RunAnalysis(const AnalysisConfig& analysis, double noise_floor_power,
-                 Supervisor* sup, Executor* ex,
-                 const std::vector<Detection>& intervals,
-                 dsp::const_sample_span x, CostLedger& ledger,
-                 MonitorReport& report) {
-  if (!analysis.demodulate) return;
-  if (ex != nullptr && !ex->serial()) {
-    RunAnalysisParallel(analysis, noise_floor_power, sup, ex, intervals, x,
-                        ledger, report);
-  } else {
-    RunAnalysisSerial(analysis, noise_floor_power, sup, intervals, x, ledger,
-                      report);
-  }
 }
 
 /// A bundle's freshly constructed detector hooks for one Detect() call.
@@ -380,90 +313,11 @@ std::vector<ActiveDetectors> MakeActiveDetectors(std::uint32_t bundle_mask,
   return active;
 }
 
-}  // namespace
-
-double MonitorReport::TotalCpuSeconds() const {
-  double total = 0.0;
-  for (const auto& c : costs) total += c.cpu_seconds;
-  return total;
-}
-
-double MonitorReport::CostOf(const std::string& prefix) const {
-  double total = 0.0;
-  for (const auto& c : costs) {
-    if (c.name.rfind(prefix, 0) == 0) total += c.cpu_seconds;
-  }
-  return total;
-}
-
-double MonitorReport::CpuOverRealTime() const {
-  if (samples_total == 0) return 0.0;
-  const double real_seconds =
-      static_cast<double>(samples_total) / dsp::kSampleRateHz;
-  return TotalCpuSeconds() / real_seconds;
-}
-
-// ------------------------------------------------------------------- RFDump
-
-MonitorReport AnalyzeDetections(DetectOutput det, dsp::const_sample_span x,
-                                Executor* executor, ResultSink* sink) {
-  RFDUMP_TRACE_SPAN("pipeline/analyze");
-  MonitorReport report = std::move(det.report);
-  CostLedger ledger;
-  for (const auto& c : report.costs) {
-    ledger.Add(c.name, c.cpu_seconds, c.samples_in);
-  }
-  RunAnalysis(det.analysis, det.noise_floor_power, det.supervisor, executor,
-              report.dispatched, x, ledger, report);
-  BuildEventView(report);
-  report.costs = ledger.Costs();
-  if (sink != nullptr) {
-    for (const auto& h : report.health) sink->OnHealth(h);
-    for (const auto& d : report.detections) sink->OnDetection(d);
-    for (const auto& f : report.wifi_frames) sink->OnWifiFrame(f);
-    for (const auto& p : report.bt_packets) sink->OnBtPacket(p);
-    for (const auto& z : report.zb_frames) sink->OnZbFrame(z);
-    for (const auto& e : report.events) sink->OnEvent(e);
-  }
-  return report;
-}
-
-void RFDumpPipeline::Config::EnableBundle(Protocol p) {
-  bundle_mask |= BundleBit(p);
-  // The historical protocols predate the bundle mask and are additionally
-  // gated by their legacy booleans; keep both switch forms consistent. New
-  // bundles are controlled by the mask alone and need no case here.
-  switch (p) {
-    case Protocol::kZigbee:
-      zigbee_detector = true;
-      analysis.zigbee_demod = true;
-      break;
-    case Protocol::kMicrowave:
-      microwave_detector = true;
-      break;
-    default:
-      break;
-  }
-}
-
-RFDumpPipeline::RFDumpPipeline() : RFDumpPipeline(Config{}) {}
-
-RFDumpPipeline::RFDumpPipeline(Config config) : config_(config) {}
-
-MonitorReport RFDumpPipeline::Process(dsp::const_sample_span x) {
-  RFDUMP_TRACE_SPAN("pipeline/process");
-  return AnalyzeDetections(Detect(x), x, config_.executor, config_.sink);
-}
-
-DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
-  RFDUMP_TRACE_SPAN("pipeline/detect");
-  static obs::Counter& c_process =
-      obs::Registry::Default().GetCounter("rfdump_pipeline_process_total");
-  static obs::Counter& c_samples =
-      obs::Registry::Default().GetCounter("rfdump_pipeline_samples_total");
-  c_process.Inc();
-  c_samples.Inc(x.size());
-
+// Figure 2's detect policy: input health scan, protocol-agnostic peak
+// detection feeding every enabled bundle's detector hooks, then dispatch of
+// the merged tagged intervals.
+MonitorReport DetectTagged(const RFDumpPipeline::Config& config,
+                           dsp::const_sample_span x) {
   MonitorReport report;
   report.samples_total = x.size();
   CostLedger ledger;
@@ -471,14 +325,14 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
   // Stage 0: input health scan — a real front-end delivers saturated and
   // occasionally corrupt (non-finite) samples; account for them up front so
   // downstream results can be interpreted.
-  if (config_.health_scan) {
+  if (config.health_scan) {
     CostLedger::Scope scope(ledger, "detect/health", x.size());
     HealthReport h;
     h.block_samples = x.size();
     // rail = +inf disables the saturation count (|v| >= +inf only holds for
     // +inf, and non-finite samples are classified before the rail test).
-    const float rail = config_.saturation_amplitude > 0.0f
-                           ? 0.98f * config_.saturation_amplitude
+    const float rail = config.saturation_amplitude > 0.0f
+                           ? 0.98f * config.saturation_amplitude
                            : std::numeric_limits<float>::infinity();
     std::uint64_t saturated = 0;
     dsp::simd::Active().health_scan(x.data(), x.size(), rail,
@@ -493,18 +347,16 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
   // Stage 1: protocol-agnostic peak detection over 25 us chunks (with the
   // integrated energy gate), feeding every enabled bundle's detector hooks.
   PeakDetector::Config pd_cfg;
-  pd_cfg.noise_floor_power = config_.noise_floor_power;
+  pd_cfg.noise_floor_power = config.noise_floor_power;
   PeakDetector peaks(pd_cfg);
 
   DetectorSetup setup;
-  setup.timing_detectors = config_.timing_detectors;
-  setup.phase_detectors = config_.phase_detectors;
-  setup.freq_detector = config_.freq_detector;
-  setup.microwave_detector = config_.microwave_detector;
-  setup.zigbee_detector = config_.zigbee_detector;
-  setup.noise_floor_power = config_.noise_floor_power;
+  setup.timing_detectors = config.timing_detectors;
+  setup.phase_detectors = config.phase_detectors;
+  setup.freq_detector = config.freq_detector;
+  setup.noise_floor_power = config.noise_floor_power;
   std::vector<ActiveDetectors> active =
-      MakeActiveDetectors(config_.bundle_mask, setup);
+      MakeActiveDetectors(config.bundle_mask, setup);
   bool any_on_peak = false;
   for (const auto& a : active) {
     if (a.hooks.on_peak) any_on_peak = true;
@@ -519,7 +371,7 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
   // detector is counted and contained (that detector contributes nothing for
   // this batch of peaks, everything else proceeds); without one, exceptions
   // propagate as before.
-  Supervisor* const sup = config_.supervisor;
+  Supervisor* const sup = config.supervisor;
   const auto contain = [sup](const char* stage, auto&& fn) {
     if (sup) {
       sup->Contain(stage, fn);
@@ -538,7 +390,7 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
         detections.insert(detections.end(), d.begin(), d.end());
       });
     }
-    if (config_.collision_detector) {
+    if (config.collision_detector) {
       for (const Peak& p : fresh) {
         const auto s = static_cast<std::size_t>(
             std::clamp<std::int64_t>(p.start_sample, 0,
@@ -577,8 +429,7 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
 
   // Deinterleave |x|^2 once for the whole block (SoA power plane); the peak
   // detector's per-sample stage reads the plane instead of touching I/Q.
-  struct DetectPlaneTag {};
-  auto& plane = util::Scratch<float, DetectPlaneTag>();
+  auto& plane = util::Scratch<float, PowerPlaneTag>();
   plane.resize(x.size());
   dsp::simd::Active().power_plane(x.data(), x.size(), plane.data());
 
@@ -624,11 +475,11 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
   static PerProtocolCounter c_forwarded("rfdump_dispatch_forwarded_total");
   c_detections.Inc(detections.size());
   std::uint64_t tagged_n = 0, rejected_n = 0;
-  const std::int64_t pad = UsToSamples(config_.dispatch_pad_us);
+  const std::int64_t pad = UsToSamples(config.dispatch_pad_us);
   std::vector<Detection> padded;
   padded.reserve(detections.size());
   for (const auto& d : detections) {
-    if (d.confidence < config_.analysis.min_dispatch_confidence) {
+    if (d.confidence < config.analysis.min_dispatch_confidence) {
       c_rejected.of(d.protocol).Inc();
       ++rejected_n;
       continue;
@@ -649,27 +500,15 @@ DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
     report.health.back().rejected_detections = rejected_n;
     report.health.back().forwarded_intervals = report.dispatched.size();
   }
-  DetectOutput out;
   report.costs = ledger.Costs();
-  out.report = std::move(report);
-  out.analysis = config_.analysis;
-  out.noise_floor_power = config_.noise_floor_power;
-  out.supervisor = config_.supervisor;
-  return out;
+  return report;
 }
 
-// -------------------------------------------------------------------- naive
-
-NaivePipeline::NaivePipeline() : NaivePipeline(Config{}) {}
-
-NaivePipeline::NaivePipeline(Config config) : config_(config) {}
-
-MonitorReport NaivePipeline::Process(dsp::const_sample_span x) {
-  RFDUMP_TRACE_SPAN("pipeline/naive-process");
-  return AnalyzeDetections(Detect(x), x, config_.executor, config_.sink);
-}
-
-DetectOutput NaivePipeline::Detect(dsp::const_sample_span x) {
+// Figure 1's detect policies: no health scan and no protocol detectors;
+// every mask-enabled naive_member bundle gets the full capture (kNaive) or
+// every energy peak (kNaiveEnergy).
+MonitorReport DetectNaive(const RFDumpPipeline::Config& config,
+                          dsp::const_sample_span x) {
   MonitorReport report;
   report.samples_total = x.size();
   CostLedger ledger;
@@ -679,19 +518,18 @@ DetectOutput NaivePipeline::Detect(dsp::const_sample_span x) {
   std::vector<Protocol> members;
   for (const auto& bundle : ProtocolRegistry::Instance().bundles()) {
     if (!bundle.naive_member) continue;
-    if ((config_.bundle_mask & BundleBit(bundle.protocol)) == 0) continue;
+    if ((config.bundle_mask & BundleBit(bundle.protocol)) == 0) continue;
     members.push_back(bundle.protocol);
   }
 
   std::vector<Detection> intervals;
-  if (config_.energy_gate) {
+  if (config.architecture == Architecture::kNaiveEnergy) {
     // Energy filtering via the peak detector's gate; everything above the
     // noise floor goes to ALL demodulators.
     PeakDetector::Config pd_cfg;
-    pd_cfg.noise_floor_power = config_.noise_floor_power;
+    pd_cfg.noise_floor_power = config.noise_floor_power;
     PeakDetector peaks(pd_cfg);
-    struct NaivePlaneTag {};
-    auto& plane = util::Scratch<float, NaivePlaneTag>();
+    auto& plane = util::Scratch<float, PowerPlaneTag>();
     plane.resize(x.size());
     dsp::simd::Active().power_plane(x.data(), x.size(), plane.data());
     for (std::size_t at = 0; at < x.size(); at += kChunkSamples) {
@@ -705,7 +543,7 @@ DetectOutput NaivePipeline::Detect(dsp::const_sample_span x) {
       CostLedger::Scope scope(ledger, "detect/energy", 0);
       peaks.Flush();
     }
-    const std::int64_t pad = UsToSamples(config_.dispatch_pad_us);
+    const std::int64_t pad = UsToSamples(config.dispatch_pad_us);
     std::vector<Detection> raw;
     for (const Peak& p : peaks.history()) {
       for (const Protocol protocol : members) {
@@ -723,9 +561,81 @@ DetectOutput NaivePipeline::Detect(dsp::const_sample_span x) {
     }
   }
   report.dispatched = std::move(intervals);
-  DetectOutput out;
   report.costs = ledger.Costs();
-  out.report = std::move(report);
+  return report;
+}
+
+}  // namespace
+
+double MonitorReport::TotalCpuSeconds() const {
+  double total = 0.0;
+  for (const auto& c : costs) total += c.cpu_seconds;
+  return total;
+}
+
+double MonitorReport::CostOf(const std::string& prefix) const {
+  double total = 0.0;
+  for (const auto& c : costs) {
+    if (c.name.rfind(prefix, 0) == 0) total += c.cpu_seconds;
+  }
+  return total;
+}
+
+double MonitorReport::CpuOverRealTime() const {
+  if (samples_total == 0) return 0.0;
+  const double real_seconds =
+      static_cast<double>(samples_total) / dsp::kSampleRateHz;
+  return TotalCpuSeconds() / real_seconds;
+}
+
+MonitorReport AnalyzeDetections(DetectOutput det, dsp::const_sample_span x,
+                                Executor* executor, ResultSink* sink) {
+  RFDUMP_TRACE_SPAN("pipeline/analyze");
+  MonitorReport report = std::move(det.report);
+  CostLedger ledger;
+  for (const auto& c : report.costs) {
+    ledger.Add(c.name, c.cpu_seconds, c.samples_in);
+  }
+  RunAnalysis(det.analysis, det.noise_floor_power, det.supervisor, executor,
+              report.dispatched, x, ledger, report);
+  BuildEventView(report);
+  report.costs = ledger.Costs();
+  if (sink != nullptr) {
+    for (const auto& h : report.health) sink->OnHealth(h);
+    for (const auto& d : report.detections) sink->OnDetection(d);
+    for (const auto& f : report.wifi_frames) sink->OnWifiFrame(f);
+    for (const auto& p : report.bt_packets) sink->OnBtPacket(p);
+    for (const auto& z : report.zb_frames) sink->OnZbFrame(z);
+    for (const auto& e : report.events) sink->OnEvent(e);
+  }
+  return report;
+}
+
+RFDumpPipeline::RFDumpPipeline() : RFDumpPipeline(Config{}) {}
+
+RFDumpPipeline::RFDumpPipeline(Config config) : config_(config) {}
+
+MonitorReport RFDumpPipeline::Process(dsp::const_sample_span x) {
+  RFDUMP_TRACE_SPAN("pipeline/process");
+  return AnalyzeDetections(Detect(x), x, config_.executor, config_.sink);
+}
+
+DetectOutput RFDumpPipeline::Detect(dsp::const_sample_span x) {
+  RFDUMP_TRACE_SPAN("pipeline/detect");
+  static obs::Counter& c_process =
+      obs::Registry::Default().GetCounter("rfdump_pipeline_process_total");
+  static obs::Counter& c_samples =
+      obs::Registry::Default().GetCounter("rfdump_pipeline_samples_total");
+  // The counters track the monitor itself, not the naive baselines.
+  if (config_.architecture == Architecture::kRFDump) {
+    c_process.Inc();
+    c_samples.Inc(x.size());
+  }
+
+  DetectOutput out;
+  out.report = config_.architecture == Architecture::kRFDump
+                   ? DetectTagged(config_, x)
+                   : DetectNaive(config_, x);
   out.analysis = config_.analysis;
   out.noise_floor_power = config_.noise_floor_power;
   out.supervisor = config_.supervisor;

@@ -266,33 +266,45 @@ void StreamingMonitor::RecordHealth(const HealthReport& h) {
     health_.pop_front();
   }
   if (config_.sink != nullptr) config_.sink->OnHealth(health_.back());
-  if (on_health) on_health(health_.back());
 }
 
-void StreamingMonitor::EmitWifi(const phy80211::DecodedFrame& f) {
-  if (config_.sink != nullptr) config_.sink->OnWifiFrame(f);
-  if (on_wifi_frame) on_wifi_frame(f);
-}
-
-void StreamingMonitor::EmitBt(const phybt::DecodedBtPacket& p) {
-  if (config_.sink != nullptr) config_.sink->OnBtPacket(p);
-  if (on_bt_packet) on_bt_packet(p);
-}
-
-void StreamingMonitor::EmitZb(const phyzigbee::DecodedZbFrame& z) {
-  // No legacy callback existed for ZigBee — sink-only (the quartet never
-  // carried these; they were silently dropped before the sink API).
-  if (config_.sink != nullptr) config_.sink->OnZbFrame(z);
-}
-
-void StreamingMonitor::EmitEvent(const ProtocolEvent& e) {
-  // Generic protocol-tagged channel; sink-only (no legacy callback).
-  if (config_.sink != nullptr) config_.sink->OnEvent(e);
-}
-
-void StreamingMonitor::EmitDetection(const Detection& d) {
-  if (config_.sink != nullptr) config_.sink->OnDetection(d);
-  if (on_detection) on_detection(d);
+void StreamingMonitor::EmitOwned(MonitorReport& report, std::int64_t base,
+                                 std::int64_t emit_from,
+                                 std::int64_t boundary, bool gap_cut) {
+  if (config_.sink == nullptr) return;
+  const auto owned = [&](std::int64_t start) {
+    return start >= emit_from && start < boundary;
+  };
+  // A block cut short by a gap ends where delivered data ends: a frame that
+  // reaches the cut was truncated by the overrun unless it checked out in
+  // full (FCS/CRC), and a truncated frame is reported as a gap, not a frame.
+  const auto clear_of_cut = [&](std::int64_t end, bool verified) {
+    return !gap_cut || end < boundary || verified;
+  };
+  // Rebases every entry of `items` and emits the owned ones.
+  const auto emit = [&](auto& items, auto&& verified, auto&& deliver) {
+    for (auto& item : items) {
+      item.start_sample += base;
+      item.end_sample += base;
+      if (owned(item.start_sample) &&
+          clear_of_cut(item.end_sample, verified(item))) {
+        deliver(item);
+      }
+    }
+  };
+  ResultSink* const sink = config_.sink;
+  emit(report.wifi_frames,
+       [](const auto& f) { return f.payload_decoded && f.fcs_ok; },
+       [&](const auto& f) { sink->OnWifiFrame(f); });
+  emit(report.bt_packets, [](const auto& p) { return p.packet.crc_ok; },
+       [&](const auto& p) { sink->OnBtPacket(p); });
+  emit(report.zb_frames, [](const auto& z) { return z.crc_ok; },
+       [&](const auto& z) { sink->OnZbFrame(z); });
+  emit(report.events, [](const auto& e) { return e.crc_ok; },
+       [&](const auto& e) { sink->OnEvent(e); });
+  // Detections are tags, not frames: ownership alone decides.
+  emit(report.detections, [](const auto&) { return true; },
+       [&](const auto& d) { sink->OnDetection(d); });
 }
 
 void StreamingMonitor::ApplyShedStage() {
@@ -306,8 +318,8 @@ void StreamingMonitor::ApplyShedStage() {
   const int stage = shed_stage_.load(std::memory_order_relaxed);
   if (stage >= 1) {
     cfg.freq_detector = false;
-    cfg.microwave_detector = false;
-    cfg.zigbee_detector = false;
+    cfg.bundle_mask &= ~(BundleBit(Protocol::kMicrowave) |
+                         BundleBit(Protocol::kZigbee));
     cfg.collision_detector = false;
   }
   if (stage >= 2) {
@@ -451,49 +463,7 @@ void StreamingMonitor::ProcessBlock(bool final_block, bool gap_cut) {
       final_block ? 0 : std::min(config_.overlap_samples, take);
   const std::int64_t boundary =
       base + static_cast<std::int64_t>(take - keep);
-  const auto owned = [&](std::int64_t start) {
-    return start >= emitted_until_ && start < boundary;
-  };
-  // A block cut short by a gap ends where delivered data ends: a frame that
-  // reaches the cut was truncated by the overrun unless it checked out in
-  // full (FCS/CRC), and a truncated frame is reported as a gap, not a frame.
-  const auto clear_of_cut = [&](std::int64_t end, bool verified) {
-    return !gap_cut || end < boundary || verified;
-  };
-  for (auto& f : report.wifi_frames) {
-    f.start_sample += base;
-    f.end_sample += base;
-    if (owned(f.start_sample) &&
-        clear_of_cut(f.end_sample, f.payload_decoded && f.fcs_ok)) {
-      EmitWifi(f);
-    }
-  }
-  for (auto& p : report.bt_packets) {
-    p.start_sample += base;
-    p.end_sample += base;
-    if (owned(p.start_sample) && clear_of_cut(p.end_sample, p.packet.crc_ok)) {
-      EmitBt(p);
-    }
-  }
-  for (auto& z : report.zb_frames) {
-    z.start_sample += base;
-    z.end_sample += base;
-    if (owned(z.start_sample) && clear_of_cut(z.end_sample, z.crc_ok)) {
-      EmitZb(z);
-    }
-  }
-  for (auto& e : report.events) {
-    e.start_sample += base;
-    e.end_sample += base;
-    if (owned(e.start_sample) && clear_of_cut(e.end_sample, e.crc_ok)) {
-      EmitEvent(e);
-    }
-  }
-  for (auto& d : report.detections) {
-    d.start_sample += base;
-    d.end_sample += base;
-    if (owned(d.start_sample)) EmitDetection(d);
-  }
+  EmitOwned(report, base, emitted_until_, boundary, gap_cut);
 
   emitted_until_ = boundary;
   // Adapt the shed stage for the *next* block from this block's load.
@@ -688,47 +658,7 @@ void StreamingMonitor::AnalyzeBlock(BlockJob& job) {
 
   // Same ownership filter as the serial path, from the window the ingest
   // thread computed when it packaged the block.
-  const auto owned = [&](std::int64_t start) {
-    return start >= job.emit_from && start < job.boundary;
-  };
-  const auto clear_of_cut = [&](std::int64_t end, bool verified) {
-    return !job.gap_cut || end < job.boundary || verified;
-  };
-  const std::int64_t base = job.base;
-  for (auto& f : report.wifi_frames) {
-    f.start_sample += base;
-    f.end_sample += base;
-    if (owned(f.start_sample) &&
-        clear_of_cut(f.end_sample, f.payload_decoded && f.fcs_ok)) {
-      EmitWifi(f);
-    }
-  }
-  for (auto& p : report.bt_packets) {
-    p.start_sample += base;
-    p.end_sample += base;
-    if (owned(p.start_sample) && clear_of_cut(p.end_sample, p.packet.crc_ok)) {
-      EmitBt(p);
-    }
-  }
-  for (auto& z : report.zb_frames) {
-    z.start_sample += base;
-    z.end_sample += base;
-    if (owned(z.start_sample) && clear_of_cut(z.end_sample, z.crc_ok)) {
-      EmitZb(z);
-    }
-  }
-  for (auto& e : report.events) {
-    e.start_sample += base;
-    e.end_sample += base;
-    if (owned(e.start_sample) && clear_of_cut(e.end_sample, e.crc_ok)) {
-      EmitEvent(e);
-    }
-  }
-  for (auto& d : report.detections) {
-    d.start_sample += base;
-    d.end_sample += base;
-    if (owned(d.start_sample)) EmitDetection(d);
-  }
+  EmitOwned(report, job.base, job.emit_from, job.boundary, job.gap_cut);
 
   UpdateShedding(block_load, /*deadline_pressure=*/d_deadline > 0,
                  backpressure_.exchange(false, std::memory_order_relaxed));

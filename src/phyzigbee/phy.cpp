@@ -124,8 +124,8 @@ enum class Candidate { kNone, kTruncated, kFrame };
 
 Candidate TryFrame(dsp::const_sample_span x, std::size_t at,
                    DecodedZbFrame& frame) {
-  // Require the next 7 preamble symbols too. Written as !(c >= threshold)
-  // so a NaN correlation fails here, unlike the `< threshold` tests around it.
+  // Require the next 7 preamble symbols too. Every threshold test here is
+  // written as !(c >= threshold) so a NaN correlation fails it.
   for (std::size_t m = 1; m < 8; ++m) {
     if (!(SymbolCorrelation(x, at + m * kSamplesPerSymbol, 0) >= kThreshold)) {
       return Candidate::kNone;
@@ -134,8 +134,8 @@ Candidate TryFrame(dsp::const_sample_span x, std::size_t at,
   // SFD (0xA7): nibbles 7 then A.
   const std::size_t sfd_at = at + 8 * kSamplesPerSymbol;
   if (sfd_at + 2 * kSamplesPerSymbol > x.size()) return Candidate::kTruncated;
-  if (SymbolCorrelation(x, sfd_at, 0x7) < kThreshold ||
-      SymbolCorrelation(x, sfd_at + kSamplesPerSymbol, 0xA) < kThreshold) {
+  if (!(SymbolCorrelation(x, sfd_at, 0x7) >= kThreshold) ||
+      !(SymbolCorrelation(x, sfd_at + kSamplesPerSymbol, 0xA) >= kThreshold)) {
     return Candidate::kNone;
   }
   // Decode PHR + PSDU by per-symbol argmax correlation.

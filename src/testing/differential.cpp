@@ -179,26 +179,23 @@ DifferentialResult RunDifferential(const RenderedScenario& scenario,
 
   const auto& registry = core::ProtocolRegistry::Instance();
 
+  core::RFDumpPipeline::Config cfg;
+  cfg.analysis = policy.analysis;
+  for (const auto& bundle : registry.bundles()) {
+    if (bundle.differential_member) cfg.EnableBundle(bundle.protocol);
+  }
   core::MonitorReport reports[4];
   for (int gate = 0; gate < 2; ++gate) {
-    core::NaivePipeline::Config cfg;
-    cfg.energy_gate = (gate == 1);
-    cfg.analysis = policy.analysis;
-    for (const auto& bundle : registry.bundles()) {
-      if (bundle.differential_member) cfg.EnableBundle(bundle.protocol);
-    }
-    reports[gate] = core::NaivePipeline(cfg).Process(x);
+    cfg.architecture = gate == 1 ? core::Architecture::kNaiveEnergy
+                                 : core::Architecture::kNaive;
+    reports[gate] = core::RFDumpPipeline(cfg).Process(x);
   }
   {
-    core::RFDumpPipeline::Config cfg;
-    cfg.analysis = policy.analysis;
+    cfg.architecture = core::Architecture::kRFDump;
     // ZigBee is not a differential member (the naive architectures cannot
     // detect it), but the rfdump@1 vs rfdump@N exact-fingerprint comparison
     // covers it, as it always has.
     cfg.EnableBundle(core::Protocol::kZigbee);
-    for (const auto& bundle : registry.bundles()) {
-      if (bundle.differential_member) cfg.EnableBundle(bundle.protocol);
-    }
     reports[2] = core::RFDumpPipeline(cfg).Process(x);
 
     core::Executor wide(std::max(policy.wide_threads, 2));

@@ -113,8 +113,7 @@ TEST(Scenario, SnrOffsetLowersDecodeRate) {
 TEST(Oracle, ScoresRfdumpPipelineOnMixedScenario) {
   const auto s = rft::CannedMixedScenario(3);
   core::RFDumpPipeline::Config cfg;
-  cfg.zigbee_detector = true;
-  cfg.analysis.zigbee_demod = true;
+  cfg.EnableBundle(core::Protocol::kZigbee);
   const auto report = core::RFDumpPipeline(cfg).Process(s.samples);
   const auto score = rft::ScoreReport(s, report);
 

@@ -82,10 +82,8 @@ TEST(ZigbeePipeline, DetectAndDecodeEndToEnd) {
   const auto x = ether.Render(session.end_sample + 8000);
 
   core::RFDumpPipeline::Config pcfg;
-  pcfg.zigbee_detector = true;
-  pcfg.analysis.zigbee_demod = true;
-  pcfg.analysis.wifi_demod = false;
-  pcfg.analysis.bt_demods = 0;
+  pcfg.EnableBundle(core::Protocol::kZigbee);
+  pcfg.analysis.bundle_mask = core::BundleBit(core::Protocol::kZigbee);
   core::RFDumpPipeline pipeline(pcfg);
   const auto report = pipeline.Process(x);
 

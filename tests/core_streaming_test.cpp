@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "rfdump/core/pipeline.hpp"
+#include "rfdump/core/result_sink.hpp"
 #include "rfdump/core/streaming.hpp"
 #include "rfdump/emu/ether.hpp"
 #include "rfdump/traffic/traffic.hpp"
@@ -32,11 +33,18 @@ Scenario MakeScenario(std::size_t pings, std::uint64_t seed) {
   return s;
 }
 
-core::StreamingMonitor::Config SmallBlocks() {
+core::StreamingMonitor::Config SmallBlocks(core::ResultSink* sink = nullptr) {
   core::StreamingMonitor::Config cfg;
   cfg.block_samples = 400'000;   // 50 ms blocks: many boundaries per scenario
   cfg.overlap_samples = 160'000;
+  cfg.sink = sink;
   return cfg;
+}
+
+std::vector<std::int64_t> WifiStarts(const core::CollectingSink& sink) {
+  std::vector<std::int64_t> starts;
+  for (const auto& f : sink.wifi_frames) starts.push_back(f.start_sample);
+  return starts;
 }
 
 TEST(Streaming, MatchesBatchResults) {
@@ -45,13 +53,11 @@ TEST(Streaming, MatchesBatchResults) {
   core::RFDumpPipeline batch;
   const auto batch_report = batch.Process(scenario.samples);
 
-  core::StreamingMonitor monitor(SmallBlocks());
-  std::vector<std::int64_t> streamed_starts;
-  monitor.on_wifi_frame = [&](const rfdump::phy80211::DecodedFrame& f) {
-    streamed_starts.push_back(f.start_sample);
-  };
+  core::CollectingSink sink;
+  core::StreamingMonitor monitor(SmallBlocks(&sink));
   monitor.Push(scenario.samples);
   monitor.Flush();
+  const auto streamed_starts = WifiStarts(sink);
 
   ASSERT_EQ(streamed_starts.size(), batch_report.wifi_frames.size());
   for (std::size_t i = 0; i < streamed_starts.size(); ++i) {
@@ -64,11 +70,8 @@ TEST(Streaming, MatchesBatchResults) {
 
 TEST(Streaming, RaggedSegmentsNoDuplicatesNoLosses) {
   const auto scenario = MakeScenario(8, 2);
-  core::StreamingMonitor monitor(SmallBlocks());
-  std::vector<std::int64_t> starts;
-  monitor.on_wifi_frame = [&](const rfdump::phy80211::DecodedFrame& f) {
-    starts.push_back(f.start_sample);
-  };
+  core::CollectingSink sink;
+  core::StreamingMonitor monitor(SmallBlocks(&sink));
   // Push in deliberately awkward segment sizes.
   std::size_t pos = 0;
   const std::size_t sizes[] = {1, 999, 100'000, 7, 350'000, 123'456};
@@ -82,6 +85,7 @@ TEST(Streaming, RaggedSegmentsNoDuplicatesNoLosses) {
   }
   monitor.Flush();
 
+  const auto starts = WifiStarts(sink);
   EXPECT_EQ(starts.size(), scenario.wifi_frames_expected);
   // Strictly increasing starts => no duplicates.
   for (std::size_t k = 1; k < starts.size(); ++k) {
@@ -95,7 +99,8 @@ TEST(Streaming, FrameOnBlockBoundaryReportedOnce) {
   rfdump::traffic::WifiPingConfig cfg;
   cfg.count = 1;
   cfg.snr_db = 25.0;
-  core::StreamingMonitor::Config mcfg = SmallBlocks();
+  core::CollectingSink sink;
+  core::StreamingMonitor::Config mcfg = SmallBlocks(&sink);
   // Frame is ~35k samples; start it 10k before the boundary.
   const auto start =
       static_cast<std::int64_t>(mcfg.block_samples) - 10'000;
@@ -103,12 +108,9 @@ TEST(Streaming, FrameOnBlockBoundaryReportedOnce) {
   const auto x = ether.Render(session.end_sample + 8000);
 
   core::StreamingMonitor monitor(mcfg);
-  int frames = 0;
-  monitor.on_wifi_frame =
-      [&](const rfdump::phy80211::DecodedFrame&) { ++frames; };
   monitor.Push(x);
   monitor.Flush();
-  EXPECT_EQ(frames, 4);  // DATA + ACK + DATA + ACK, each exactly once
+  EXPECT_EQ(sink.wifi_frames.size(), 4u);  // DATA + ACK + DATA + ACK, each exactly once
 }
 
 TEST(Streaming, CostsAccumulate) {
@@ -128,28 +130,26 @@ TEST(Streaming, CostsAccumulate) {
 }
 
 TEST(Streaming, FlushOnEmptyIsNoop) {
-  core::StreamingMonitor monitor;
-  int calls = 0;
-  monitor.on_wifi_frame =
-      [&](const rfdump::phy80211::DecodedFrame&) { ++calls; };
+  core::CollectingSink sink;
+  core::StreamingMonitor::Config cfg;
+  cfg.sink = &sink;
+  core::StreamingMonitor monitor(cfg);
   monitor.Flush();
-  EXPECT_EQ(calls, 0);
+  EXPECT_TRUE(sink.wifi_frames.empty());
   EXPECT_EQ(monitor.samples_processed(), 0u);
 }
 
 TEST(Streaming, FlushTwiceEmitsNothingTwice) {
   const auto scenario = MakeScenario(3, 7);
-  core::StreamingMonitor monitor(SmallBlocks());
-  int frames = 0;
-  monitor.on_wifi_frame =
-      [&](const rfdump::phy80211::DecodedFrame&) { ++frames; };
+  core::CollectingSink sink;
+  core::StreamingMonitor monitor(SmallBlocks(&sink));
   monitor.Push(scenario.samples);
   monitor.Flush();
-  const int after_first = frames;
+  const std::size_t after_first = sink.wifi_frames.size();
   const auto processed = monitor.samples_processed();
-  EXPECT_EQ(after_first, static_cast<int>(scenario.wifi_frames_expected));
+  EXPECT_EQ(after_first, scenario.wifi_frames_expected);
   monitor.Flush();  // must be a no-op, not a re-emit
-  EXPECT_EQ(frames, after_first);
+  EXPECT_EQ(sink.wifi_frames.size(), after_first);
   EXPECT_EQ(monitor.samples_processed(), processed);
   // The stream can continue after a flush: positions stay absolute.
   monitor.Push(scenario.samples);  // contiguous continuation (arbitrary data)
@@ -161,16 +161,14 @@ TEST(Streaming, SegmentLargerThanBlockPlusOverlap) {
   // One Push bigger than block + overlap must be chopped into the same block
   // schedule, with no duplicate or lost frames.
   const auto scenario = MakeScenario(6, 9);
-  auto cfg = SmallBlocks();
+  core::CollectingSink sink;
+  auto cfg = SmallBlocks(&sink);
   ASSERT_GT(scenario.samples.size(),
             cfg.block_samples + cfg.overlap_samples);
   core::StreamingMonitor monitor(cfg);
-  std::vector<std::int64_t> starts;
-  monitor.on_wifi_frame = [&](const rfdump::phy80211::DecodedFrame& f) {
-    starts.push_back(f.start_sample);
-  };
   monitor.Push(scenario.samples);  // single oversized segment
   monitor.Flush();
+  const auto starts = WifiStarts(sink);
   EXPECT_EQ(starts.size(), scenario.wifi_frames_expected);
   for (std::size_t k = 1; k < starts.size(); ++k) {
     EXPECT_GT(starts[k], starts[k - 1]) << k;

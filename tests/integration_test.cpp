@@ -1,4 +1,4 @@
-// End-to-end integration: emulated ether -> RFDump / naive pipelines ->
+// End-to-end integration: emulated ether -> RFDump / naive architectures ->
 // scoring against ground truth. These tests are small versions of the
 // paper's microbenchmarks (Figures 6-8, Table 3) plus trace I/O round trips.
 
@@ -239,8 +239,9 @@ TEST(Integration, RFDumpCheaperThanNaive) {
   const auto session = traffic::GenerateUnicastPing(ether, cfg, 8000);
   const auto x = ether.Render(session.end_sample + 8000);
 
-  core::NaivePipeline naive;
-  const auto naive_report = naive.Process(x);
+  core::RFDumpPipeline::Config naive_cfg;
+  naive_cfg.architecture = core::Architecture::kNaive;
+  const auto naive_report = core::RFDumpPipeline(naive_cfg).Process(x);
   core::RFDumpPipeline rfdump;
   const auto rf_report = rfdump.Process(x);
 
@@ -263,12 +264,11 @@ TEST(Integration, EnergyGatedBetweenNaiveAndRFDump) {
   const auto session = traffic::GenerateUnicastPing(ether, cfg, 8000);
   const auto x = ether.Render(session.end_sample + 8000);
 
-  core::NaivePipeline::Config ecfg;
-  ecfg.energy_gate = true;
-  core::NaivePipeline energy(ecfg);
-  const auto energy_report = energy.Process(x);
-  core::NaivePipeline naive;
-  const auto naive_report = naive.Process(x);
+  core::RFDumpPipeline::Config pcfg;
+  pcfg.architecture = core::Architecture::kNaiveEnergy;
+  const auto energy_report = core::RFDumpPipeline(pcfg).Process(x);
+  pcfg.architecture = core::Architecture::kNaive;
+  const auto naive_report = core::RFDumpPipeline(pcfg).Process(x);
 
   EXPECT_LT(energy_report.TotalCpuSeconds(),
             naive_report.TotalCpuSeconds());

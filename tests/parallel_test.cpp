@@ -1,14 +1,15 @@
 // Parallel analysis executor tests (DESIGN.md §10): whatever the executor
-// width, a monitoring run must produce *identical* results — parallelism may
-// only move wall time. The sweep covers the batch pipeline and the streaming
-// monitor (clean and impaired input), the supervisor's no-poisoning
-// guarantee under a crashing demodulator, the unified ResultSink, and
-// Config::Validate.
+// width — including none at all — a monitoring run must produce *identical*
+// results; parallelism may only move wall time. The sweep covers the batch
+// pipeline and the streaming monitor (clean and impaired input), the
+// supervisor's outcomes under a crashing or deadline-blowing demodulator,
+// the ResultSink, and Config::Validate.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdio>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "rfdump/core/streaming.hpp"
 #include "rfdump/emu/ether.hpp"
 #include "rfdump/emu/frontend.hpp"
+#include "rfdump/testing/differential.hpp"
 #include "rfdump/traffic/traffic.hpp"
 
 namespace core = rfdump::core;
@@ -28,6 +30,19 @@ namespace emu = rfdump::emu;
 namespace {
 
 constexpr int kWidths[] = {1, 2, 8};
+/// Batch-pipeline widths; 0 stands for no executor at all (nullptr).
+constexpr int kPipelineWidths[] = {0, 1, 2, 8};
+
+std::unique_ptr<core::Executor> MakeExecutor(int width) {
+  return width == 0 ? nullptr : std::make_unique<core::Executor>(width);
+}
+
+/// Supervisor outcome totals; every one must be width-independent.
+std::vector<std::uint64_t> Outcomes(const core::Supervisor& supervisor) {
+  const auto c = supervisor.counts();
+  return {c.invocations, c.ok,          c.deadline,    c.exception,
+          c.skipped,     c.quarantined, c.breaker_trips};
+}
 
 /// Busy 2.4 GHz band: Wi-Fi pings, a Bluetooth ACL session and a ZigBee
 /// burst interleaved — enough dispatched intervals that the parallel path
@@ -53,9 +68,9 @@ dsp::SampleVec MixedEther(std::uint64_t seed) {
 }
 
 // ------------------------------------------------------------- fingerprints
-// Every result-bearing field, serialized. cpu_seconds / block_load style
-// timing fields are the only report contents allowed to differ across
-// widths, so they are the only ones left out.
+// Every result-bearing field, serialized. Timing fields are the only report
+// contents allowed to differ across widths, so they are the only ones left
+// out.
 
 std::string Fp(const rfdump::phy80211::DecodedFrame& f) {
   char buf[96];
@@ -91,6 +106,18 @@ std::string Fp(const rfdump::phyzigbee::DecodedZbFrame& z) {
   return out;
 }
 
+std::string Fp(const core::ProtocolEvent& e) {
+  char buf[96];
+  std::snprintf(buf, sizeof(buf), "ev %s %lld %lld ch%d %d %zu ",
+                core::ProtocolName(e.protocol),
+                static_cast<long long>(e.start_sample),
+                static_cast<long long>(e.end_sample), e.channel,
+                e.crc_ok ? 1 : 0, e.payload.size());
+  std::string out = buf;
+  for (const auto b : e.payload) out += std::to_string(b) + ",";
+  return out;
+}
+
 std::string Fp(const core::Detection& d) {
   char buf[128];
   std::snprintf(buf, sizeof(buf), "det %s %lld %lld %.6f %s",
@@ -101,28 +128,14 @@ std::string Fp(const core::Detection& d) {
   return buf;
 }
 
-template <typename T>
-std::vector<std::string> Fps(const std::vector<T>& xs) {
-  std::vector<std::string> out;
-  out.reserve(xs.size());
-  for (const auto& x : xs) out.push_back(Fp(x));
-  return out;
-}
-
-/// Result-bearing content of a MonitorReport (everything except timing).
+/// Result-bearing content of a MonitorReport (everything except timing):
+/// testing::ExactFingerprint plus the fields it leaves out — samples_total,
+/// every dispatched interval and the 802.11 header rate.
 std::vector<std::string> Fingerprint(const core::MonitorReport& r) {
-  std::vector<std::string> out;
+  auto out = rfdump::testing::ExactFingerprint(r);
   out.push_back("samples " + std::to_string(r.samples_total));
-  out.push_back("counts " + std::to_string(r.detections.size()) + " " +
-                std::to_string(r.dispatched.size()) + " " +
-                std::to_string(r.wifi_frames.size()) + " " +
-                std::to_string(r.bt_packets.size()) + " " +
-                std::to_string(r.zb_frames.size()));
-  for (const auto& d : r.detections) out.push_back(Fp(d));
-  for (const auto& d : r.dispatched) out.push_back(Fp(d));
+  for (const auto& d : r.dispatched) out.push_back("dispatched " + Fp(d));
   for (const auto& f : r.wifi_frames) out.push_back(Fp(f));
-  for (const auto& p : r.bt_packets) out.push_back(Fp(p));
-  for (const auto& z : r.zb_frames) out.push_back(Fp(z));
   return out;
 }
 
@@ -132,6 +145,7 @@ std::vector<std::string> Fingerprint(const core::CollectingSink& s) {
   for (const auto& f : s.wifi_frames) out.push_back(Fp(f));
   for (const auto& p : s.bt_packets) out.push_back(Fp(p));
   for (const auto& z : s.zb_frames) out.push_back(Fp(z));
+  for (const auto& e : s.events) out.push_back(Fp(e));
   return out;
 }
 
@@ -142,20 +156,18 @@ TEST(Parallel, PipelineReportIdenticalAcrossWidths) {
 
   std::vector<std::string> baseline;
   std::vector<std::string> sink_baseline;
-  for (const int width : kWidths) {
-    core::Executor executor(width);
-    EXPECT_EQ(executor.serial(), width == 1);
+  for (const int width : kPipelineWidths) {
+    const auto executor = MakeExecutor(width);
     core::CollectingSink sink;
     core::RFDumpPipeline::Config cfg;
-    cfg.zigbee_detector = true;
-    cfg.analysis.zigbee_demod = true;
-    cfg.executor = &executor;
+    cfg.EnableBundle(core::Protocol::kZigbee);
+    cfg.executor = executor.get();
     cfg.sink = &sink;
     const auto report = core::RFDumpPipeline(cfg).Process(x);
     const auto fp = Fingerprint(report);
     const auto sink_fp = Fingerprint(sink);
-    if (width == 1) {
-      // The serial run must actually exercise every protocol, or identical
+    if (width == kPipelineWidths[0]) {
+      // The first run must actually exercise every protocol, or identical
       // empty reports would pass vacuously.
       EXPECT_FALSE(report.wifi_frames.empty());
       EXPECT_FALSE(report.bt_packets.empty());
@@ -164,9 +176,9 @@ TEST(Parallel, PipelineReportIdenticalAcrossWidths) {
       baseline = fp;
       sink_baseline = sink_fp;
     } else {
-      EXPECT_EQ(fp, baseline) << "report diverged at --threads " << width;
+      EXPECT_EQ(fp, baseline) << "report diverged at width " << width;
       EXPECT_EQ(sink_fp, sink_baseline)
-          << "sink emission diverged at --threads " << width;
+          << "sink emission diverged at width " << width;
     }
   }
 }
@@ -174,14 +186,14 @@ TEST(Parallel, PipelineReportIdenticalAcrossWidths) {
 TEST(Parallel, NaivePipelineIdenticalAcrossWidths) {
   const auto x = MixedEther(/*seed=*/23);
   std::vector<std::string> baseline;
-  for (const int width : kWidths) {
-    core::Executor executor(width);
-    core::NaivePipeline::Config cfg;
-    cfg.energy_gate = true;
-    cfg.executor = &executor;
-    const auto report = core::NaivePipeline(cfg).Process(x);
+  for (const int width : kPipelineWidths) {
+    const auto executor = MakeExecutor(width);
+    core::RFDumpPipeline::Config cfg;
+    cfg.architecture = core::Architecture::kNaiveEnergy;
+    cfg.executor = executor.get();
+    const auto report = core::RFDumpPipeline(cfg).Process(x);
     const auto fp = Fingerprint(report);
-    if (width == 1) {
+    if (width == kPipelineWidths[0]) {
       EXPECT_FALSE(report.wifi_frames.empty());
       EXPECT_FALSE(report.bt_packets.empty());
       baseline = fp;
@@ -276,43 +288,54 @@ TEST(Parallel, StreamingIdenticalAcrossWidthsImpairedTrace) {
 // -------------------------------------------------- supervised parallel run
 
 TEST(Parallel, ThrowingUnitDoesNotPoisonSiblings) {
-  // A demodulator crashing on one worker must not take down the sibling
-  // tasks of the same batch: Wi-Fi (and the other Bluetooth channel units)
-  // still produce their results, and the supervisor records the crash as a
-  // contained exception — identically at every width.
+  // A Bluetooth demodulator that crashes, or spins its interval's budget
+  // down so the channel units stop early, must not take down the sibling
+  // tasks of the same batch: Wi-Fi still produces its results, and the
+  // supervisor books every Bluetooth interval as a contained exception or
+  // a deadline — identically at every width, with no executor at all too.
   const auto x = MixedEther(/*seed=*/53);
 
-  std::vector<std::string> baseline;
-  std::uint64_t baseline_exceptions = 0;
-  for (const int width : kWidths) {
-    core::Supervisor::Config scfg;
-    scfg.breaker_window = 1'000'000;  // keep the breaker out of this test
-    scfg.breaker_trip_failures = 1'000'000;
-    scfg.fault_hook = [](core::Protocol p, std::int64_t,
-                         rfdump::util::WorkBudget&) {
-      if (p == core::Protocol::kBluetooth) {
-        throw std::runtime_error("injected demodulator crash");
-      }
-    };
-    core::Supervisor supervisor(scfg);
-    core::Executor executor(width);
-    core::RFDumpPipeline::Config cfg;
-    cfg.supervisor = &supervisor;
-    cfg.executor = &executor;
-    const auto report = core::RFDumpPipeline(cfg).Process(x);
+  enum class Fault { kThrow, kDeadline };
+  for (const Fault fault : {Fault::kThrow, Fault::kDeadline}) {
+    const bool deadline = fault == Fault::kDeadline;
+    SCOPED_TRACE(deadline ? "deadline" : "throw");
+    std::vector<std::string> baseline;
+    std::vector<std::uint64_t> baseline_outcomes;
+    for (const int width : kPipelineWidths) {
+      core::Supervisor::Config scfg;
+      scfg.breaker_window = 1'000'000;  // keep the breaker out of this test
+      scfg.breaker_trip_failures = 1'000'000;
+      scfg.demod_limits.max_samples = 1u << 30;  // armed, never hit by work
+      scfg.fault_hook = [deadline](core::Protocol p, std::int64_t,
+                                   rfdump::util::WorkBudget& budget) {
+        if (p != core::Protocol::kBluetooth) return;
+        if (!deadline) throw std::runtime_error("injected demodulator crash");
+        while (budget.Charge(1u << 24)) {
+        }
+      };
+      core::Supervisor supervisor(scfg);
+      const auto executor = MakeExecutor(width);
+      core::RFDumpPipeline::Config cfg;
+      cfg.supervisor = &supervisor;
+      cfg.executor = executor.get();
+      const auto report = core::RFDumpPipeline(cfg).Process(x);
 
-    const auto counts = supervisor.counts();
-    EXPECT_GT(counts.exception, 0u) << "fault hook never fired";
-    EXPECT_TRUE(report.bt_packets.empty());  // the crashed units' output
-    EXPECT_FALSE(report.wifi_frames.empty())
-        << "sibling Wi-Fi analysis was poisoned at width " << width;
-    const auto fp = Fingerprint(report);
-    if (width == 1) {
-      baseline = fp;
-      baseline_exceptions = counts.exception;
-    } else {
-      EXPECT_EQ(fp, baseline) << "supervised report diverged at " << width;
-      EXPECT_EQ(counts.exception, baseline_exceptions);
+      const auto counts = supervisor.counts();
+      EXPECT_GT(deadline ? counts.deadline : counts.exception, 0u)
+          << "fault hook never fired";
+      EXPECT_EQ(deadline ? counts.exception : counts.deadline, 0u);
+      EXPECT_TRUE(report.bt_packets.empty());  // the failed units' output
+      EXPECT_FALSE(report.wifi_frames.empty())
+          << "sibling Wi-Fi analysis was poisoned at width " << width;
+      const auto fp = Fingerprint(report);
+      if (width == kPipelineWidths[0]) {
+        baseline = fp;
+        baseline_outcomes = Outcomes(supervisor);
+      } else {
+        EXPECT_EQ(fp, baseline) << "supervised report diverged at " << width;
+        EXPECT_EQ(Outcomes(supervisor), baseline_outcomes)
+            << "supervisor outcomes diverged at " << width;
+      }
     }
   }
 }
@@ -418,38 +441,6 @@ TEST(Parallel, PushIsPushSegmentWithAutoTimestamp) {
   EXPECT_EQ(Fingerprint(a), Fingerprint(b));
 }
 
-TEST(Parallel, SinkAndLegacyCallbacksSeeTheSameResults) {
-  // Back-compat contract: the deprecated callback quartet keeps firing, in
-  // the same order, alongside a configured sink (ZigBee excepted — the
-  // quartet never had a ZigBee slot).
-  const auto x = MixedEther(/*seed=*/19);
-  core::StreamingMonitor::Config mcfg;
-  mcfg.block_samples = 400'000;
-  mcfg.overlap_samples = 160'000;
-  core::CollectingSink sink;
-  mcfg.sink = &sink;
-  core::StreamingMonitor monitor(mcfg);
-  core::CollectingSink legacy;
-  monitor.on_wifi_frame = [&](const rfdump::phy80211::DecodedFrame& f) {
-    legacy.OnWifiFrame(f);
-  };
-  monitor.on_bt_packet = [&](const rfdump::phybt::DecodedBtPacket& p) {
-    legacy.OnBtPacket(p);
-  };
-  monitor.on_detection = [&](const core::Detection& d) {
-    legacy.OnDetection(d);
-  };
-  monitor.on_health = [&](const core::HealthReport& h) { legacy.OnHealth(h); };
-  monitor.Push(x);
-  monitor.Flush();
-
-  ASSERT_FALSE(sink.wifi_frames.empty());
-  EXPECT_EQ(Fps(sink.wifi_frames), Fps(legacy.wifi_frames));
-  EXPECT_EQ(Fps(sink.bt_packets), Fps(legacy.bt_packets));
-  EXPECT_EQ(Fps(sink.detections), Fps(legacy.detections));
-  EXPECT_EQ(sink.health.size(), legacy.health.size());
-}
-
 // A sink that trips if the monitor ever delivers two results concurrently.
 // The ResultSink threading contract promises emitters serialise all calls —
 // that guarantee is what lets CollectingSink (and any user sink) stay
@@ -473,6 +464,10 @@ class ReentryGuardSink final : public core::ResultSink {
   void OnZbFrame(const rfdump::phyzigbee::DecodedZbFrame& f) override {
     const Guard g(this);
     inner.OnZbFrame(f);
+  }
+  void OnEvent(const core::ProtocolEvent& e) override {
+    const Guard g(this);
+    inner.OnEvent(e);
   }
   void OnDetection(const core::Detection& d) override {
     const Guard g(this);
@@ -504,9 +499,8 @@ class ReentryGuardSink final : public core::ResultSink {
 
 TEST(Parallel, CollectingSinkAndLegacyShimsUnderConcurrentDelivery) {
   // A pipelined monitor (worker threads + queued blocks) must deliver to one
-  // unsynchronised CollectingSink and to the legacy callback shims exactly
-  // what the serial run produces: same results, same order, never two calls
-  // at once.
+  // unsynchronised CollectingSink exactly what the serial run produces: same
+  // results, same order, never two calls at once.
   const auto x = MixedEther(/*seed=*/23);
   std::vector<std::string> baseline;
   for (const int width : kWidths) {
@@ -518,19 +512,6 @@ TEST(Parallel, CollectingSinkAndLegacyShimsUnderConcurrentDelivery) {
     ReentryGuardSink sink;
     mcfg.sink = &sink;
     core::StreamingMonitor monitor(mcfg);
-    core::CollectingSink legacy;
-    monitor.on_wifi_frame = [&](const rfdump::phy80211::DecodedFrame& f) {
-      legacy.OnWifiFrame(f);
-    };
-    monitor.on_bt_packet = [&](const rfdump::phybt::DecodedBtPacket& p) {
-      legacy.OnBtPacket(p);
-    };
-    monitor.on_detection = [&](const core::Detection& d) {
-      legacy.OnDetection(d);
-    };
-    monitor.on_health = [&](const core::HealthReport& h) {
-      legacy.OnHealth(h);
-    };
     monitor.Push(x);
     monitor.Flush();
 
@@ -543,34 +524,7 @@ TEST(Parallel, CollectingSinkAndLegacyShimsUnderConcurrentDelivery) {
     } else {
       EXPECT_EQ(fp, baseline) << "sink results diverged at width " << width;
     }
-    // The deprecated quartet mirrors the sink at every width (no ZigBee
-    // slot — the quartet never had one).
-    EXPECT_EQ(Fps(sink.inner.wifi_frames), Fps(legacy.wifi_frames));
-    EXPECT_EQ(Fps(sink.inner.bt_packets), Fps(legacy.bt_packets));
-    EXPECT_EQ(Fps(sink.inner.detections), Fps(legacy.detections));
-    EXPECT_EQ(sink.inner.health.size(), legacy.health.size());
   }
-}
-
-TEST(Parallel, FunctionSinkRoutesEachSlot) {
-  core::FunctionSink sink;
-  int wifi = 0, bt = 0, zb = 0, det = 0, health = 0;
-  sink.on_wifi_frame = [&](const rfdump::phy80211::DecodedFrame&) { ++wifi; };
-  sink.on_bt_packet = [&](const rfdump::phybt::DecodedBtPacket&) { ++bt; };
-  sink.on_zb_frame = [&](const rfdump::phyzigbee::DecodedZbFrame&) { ++zb; };
-  sink.on_detection = [&](const core::Detection&) { ++det; };
-  sink.on_health = [&](const core::HealthReport&) { ++health; };
-  core::ResultSink& as_sink = sink;
-  as_sink.OnWifiFrame({});
-  as_sink.OnBtPacket({});
-  as_sink.OnZbFrame({});
-  as_sink.OnDetection({});
-  as_sink.OnHealth({});
-  EXPECT_EQ(wifi, 1);
-  EXPECT_EQ(bt, 1);
-  EXPECT_EQ(zb, 1);
-  EXPECT_EQ(det, 1);
-  EXPECT_EQ(health, 1);
 }
 
 }  // namespace

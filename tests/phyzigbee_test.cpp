@@ -139,6 +139,25 @@ TEST(ZigbeeLoopback, NoiseOnlyNothing) {
   EXPECT_FALSE(zb::DecodeFrame(noise).has_value());
 }
 
+TEST(ZigbeeLoopback, NanBurstInSfdRejected) {
+  // A NaN correlation must fail the SFD check like any other sub-threshold
+  // one: the frame whose SFD is poisoned is not decoded from its clean
+  // preamble and PHR, and all-NaN / all-Inf spans hold no frame.
+  const auto psdu = MakePsdu(24, 3);
+  auto wave = zb::ModulateFrame(psdu);
+  ASSERT_TRUE(zb::DecodeFrame(wave).has_value());
+  const std::size_t sfd_at = 8 * zb::kSamplesPerSymbol;
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  for (std::size_t i = sfd_at + 10; i < sfd_at + 20; ++i) {
+    wave[i] = dsp::cfloat{nan, nan};
+  }
+  EXPECT_FALSE(zb::DecodeFrame(wave).has_value());
+  for (const float v : {nan, std::numeric_limits<float>::infinity()}) {
+    const dsp::SampleVec x(30000, dsp::cfloat{v, v});
+    EXPECT_FALSE(zb::DecodeFrame(x).has_value()) << "all " << v;
+  }
+}
+
 TEST(ZigbeeLoopback, CorruptedCrcFlagged) {
   auto psdu = MakePsdu(20, 9);
   psdu[5] ^= 0x10;  // corrupt after FCS computed
@@ -151,9 +170,10 @@ TEST(ZigbeeLoopback, CorruptedCrcFlagged) {
 // --- the seed decoder --------------------------------------------------------
 // The decoder as it was before the symbol_correlate kernel: a scalar
 // 128-sample correlation (re-summing the reference energy) at every search
-// position. Kept verbatim as the reference the kernel-backed DecodeFrame must
+// position. Kept as the reference the kernel-backed DecodeFrame must
 // reproduce exactly; only the reference table lookup goes through the public
-// SymbolReference().
+// SymbolReference(), and the SFD tests reject a NaN correlation like the
+// preamble confirmation does.
 
 constexpr std::size_t kSeedSamplesPerSymbol = 128;
 
@@ -195,9 +215,9 @@ std::optional<zb::DecodedZbFrame> SeedDecodeFrame(dsp::const_sample_span x) {
     // SFD (0xA7): nibbles 7 then A.
     const std::size_t sfd_at = at + 8 * kSamplesPerSymbol;
     if (sfd_at + 2 * kSamplesPerSymbol > x.size()) return std::nullopt;
-    if (SeedSymbolCorrelation(x, sfd_at, 0x7) < kThreshold) continue;
-    if (SeedSymbolCorrelation(x, sfd_at + kSamplesPerSymbol, 0xA) <
-        kThreshold) {
+    if (!(SeedSymbolCorrelation(x, sfd_at, 0x7) >= kThreshold)) continue;
+    if (!(SeedSymbolCorrelation(x, sfd_at + kSamplesPerSymbol, 0xA) >=
+          kThreshold)) {
       continue;
     }
     // Decode PHR + PSDU by per-symbol argmax correlation.
@@ -317,8 +337,9 @@ TEST(ZigbeeLoopback, DecodeMatchesSeedDecoder) {
   }
   // Non-finite samples: whole spans of NaN / +Inf / -Inf, and clean frames
   // with a burst of NaN or Inf inside the preamble or inside the SFD. A NaN
-  // correlation passes the old search's `< threshold` tests but fails its
-  // `>= threshold` preamble confirmation; the new decoder must keep both.
+  // correlation passes the first-symbol `< threshold` test but fails every
+  // `>= threshold` confirmation (preamble and SFD); the new decoder must
+  // keep both.
   const std::size_t first_non_finite = spans.size();
   for (float v : {std::numeric_limits<float>::quiet_NaN(),
                   std::numeric_limits<float>::infinity(),
@@ -359,8 +380,8 @@ TEST(ZigbeeLoopback, DecodeMatchesSeedDecoder) {
     frames += want.back().has_value() ? 1 : 0;
   }
   EXPECT_GE(frames, 30u);  // the sweep is not all misses
-  // Whole non-finite spans hold no frame; a burst inside the SFD does not
-  // stop one (the SFD tests are `< threshold`, which NaN passes).
+  // Whole non-finite spans hold no frame; some bursts leave the frame
+  // decodable.
   for (std::size_t i = first_non_finite; i < first_non_finite + 6; ++i) {
     EXPECT_FALSE(want[i].has_value()) << "span " << i;
   }

@@ -1,6 +1,6 @@
 // Protocol bundle registry invariants (DESIGN.md §15): registration
 // validation, deterministic enumeration, derived name/feature tables,
-// bundle-mask gating in both pipelines, and the legacy MonitorReport shims
+// bundle-mask gating in every architecture, and the legacy MonitorReport shims
 // staying bit-identical to the generic event view.
 
 #include <algorithm>
@@ -112,12 +112,10 @@ TEST(ProtocolRegistry, DefaultMaskMatchesBundleFlags) {
     EXPECT_EQ((mask & BundleBit(bundle.protocol)) != 0, bundle.default_enabled)
         << "protocol " << bundle.name;
   }
-  // BLE advertising is the opt-in proof case; the historical four are on.
-  EXPECT_EQ(mask & BundleBit(Protocol::kBleAdv), 0u);
-  EXPECT_NE(mask & BundleBit(Protocol::kWifi80211b), 0u);
-  EXPECT_NE(mask & BundleBit(Protocol::kBluetooth), 0u);
-  EXPECT_NE(mask & BundleBit(Protocol::kZigbee), 0u);
-  EXPECT_NE(mask & BundleBit(Protocol::kMicrowave), 0u);
+  // The paper's two demodulated protocols are on; microwave, ZigBee and
+  // BLE advertising are opted in with EnableBundle().
+  EXPECT_EQ(mask, BundleBit(Protocol::kWifi80211b) |
+                      BundleBit(Protocol::kBluetooth));
 }
 
 // Shared scenario for the pipeline-gating tests (rendered once; the unit
@@ -165,9 +163,10 @@ TEST(ProtocolRegistry, DisabledBundleProducesNoTasksOrResults) {
 TEST(ProtocolRegistry, NaiveMaskGatesMembers) {
   const auto& scenario = MixScenario();
 
-  rfdump::core::NaivePipeline::Config cfg;
+  rfdump::core::RFDumpPipeline::Config cfg;
+  cfg.architecture = rfdump::core::Architecture::kNaive;
   cfg.bundle_mask = BundleBit(Protocol::kWifi80211b);
-  rfdump::core::NaivePipeline pipeline(cfg);
+  rfdump::core::RFDumpPipeline pipeline(cfg);
   const auto report = pipeline.Process(scenario.samples);
 
   EXPECT_GT(report.wifi_frames.size(), 0u);

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <map>
 
+#include "rfdump/core/result_sink.hpp"
 #include "rfdump/core/streaming.hpp"
 #include "rfdump/emu/frontend.hpp"
 #include "rfdump/emu/ether.hpp"
@@ -92,10 +93,10 @@ TEST(StreamingFault, GapsReportedFramesHonest) {
 
   auto mcfg = SmallBlocks();
   mcfg.pipeline.saturation_amplitude = fcfg.clip_amplitude;
+  core::CollectingSink sink;
+  mcfg.sink = &sink;
   core::StreamingMonitor monitor(mcfg);
-  std::vector<rfdump::phy80211::DecodedFrame> frames;
-  monitor.on_wifi_frame =
-      [&](const rfdump::phy80211::DecodedFrame& f) { frames.push_back(f); };
+  const auto& frames = sink.wifi_frames;
   Drive(fe, monitor);
 
   // 1. Every injected overrun the host could possibly observe (i.e. followed
@@ -196,10 +197,11 @@ TEST(StreamingFault, FrameStraddlingGapIsAGapNotAFrame) {
       data.start_sample + (data.end_sample - data.start_sample) / 2;
   const std::int64_t resume = cut + 5'000;  // 5k samples lost
 
-  core::StreamingMonitor monitor(SmallBlocks());
-  std::vector<rfdump::phy80211::DecodedFrame> frames;
-  monitor.on_wifi_frame =
-      [&](const rfdump::phy80211::DecodedFrame& f) { frames.push_back(f); };
+  auto mcfg = SmallBlocks();
+  core::CollectingSink sink;
+  mcfg.sink = &sink;
+  core::StreamingMonitor monitor(mcfg);
+  const auto& frames = sink.wifi_frames;
   const auto all = dsp::const_sample_span(scenario.samples);
   monitor.PushSegment(0, all.first(static_cast<std::size_t>(cut)));
   monitor.PushSegment(resume, all.subspan(static_cast<std::size_t>(resume)));
@@ -226,10 +228,10 @@ TEST(StreamingFault, SheddingEngagesAndRecoversWithHysteresis) {
   mcfg.overlap_samples = 40'000;
   mcfg.cpu_budget = 1e-9;        // impossible budget: every block overruns
   mcfg.shed_resume_blocks = 2;
+  core::CollectingSink sink;
+  mcfg.sink = &sink;
   core::StreamingMonitor monitor(mcfg);
-  std::vector<core::Detection> detections;
-  monitor.on_detection =
-      [&](const core::Detection& d) { detections.push_back(d); };
+  const auto& detections = sink.detections;
 
   const auto all = dsp::const_sample_span(scenario.samples);
   const std::size_t half = scenario.samples.size() / 2;

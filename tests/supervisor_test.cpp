@@ -25,6 +25,7 @@
 #include "rfdump/phy80211/demodulator.hpp"
 #include "rfdump/phybt/demodulator.hpp"
 #include "rfdump/phyzigbee/phy.hpp"
+#include "rfdump/testing/supervise.hpp"
 #include "rfdump/traffic/traffic.hpp"
 #include "rfdump/util/work_budget.hpp"
 
@@ -32,6 +33,7 @@ namespace core = rfdump::core;
 namespace dsp = rfdump::dsp;
 namespace emu = rfdump::emu;
 namespace util = rfdump::util;
+using rfdump::testing::Supervise;
 
 namespace {
 
@@ -50,10 +52,11 @@ dsp::SampleVec MixedEther(std::size_t wifi_pings, std::size_t bt_pings,
   return ether.Render(std::max(ws.end_sample, bs.end_sample) + 16'000);
 }
 
-core::StreamingMonitor::Config SmallBlocks() {
+core::StreamingMonitor::Config SmallBlocks(core::ResultSink* sink = nullptr) {
   core::StreamingMonitor::Config cfg;
   cfg.block_samples = 400'000;
   cfg.overlap_samples = 160'000;
+  cfg.sink = sink;
   return cfg;
 }
 
@@ -223,36 +226,26 @@ TEST(SupervisedStreaming, ZigbeeDeadlineIsBooked) {
   const auto samples = ZigbeeEther(/*seed=*/73);
   const auto span = dsp::const_sample_span(samples);
 
-  std::size_t control_zb = 0;
   {
-    core::FunctionSink sink;
-    sink.on_zb_frame = [&](const rfdump::phyzigbee::DecodedZbFrame&) {
-      ++control_zb;
-    };
-    auto cfg = SmallBlocks();
+    core::CollectingSink sink;
+    auto cfg = SmallBlocks(&sink);
     cfg.pipeline.EnableBundle(core::Protocol::kZigbee);
-    cfg.sink = &sink;
     core::StreamingMonitor control(cfg);
     DriveWhole(control, span);
-    ASSERT_GT(control_zb, 0u);
+    ASSERT_GT(sink.zb_frames.size(), 0u);
     EXPECT_EQ(control.supervisor().counts().deadline, 0u);
   }
 
   // An armed deadline far below one search chunk: every ZigBee interval
   // must stop at its first charge and be booked as a deadline.
-  std::size_t cut_zb = 0;
-  core::FunctionSink sink;
-  sink.on_zb_frame = [&](const rfdump::phyzigbee::DecodedZbFrame&) {
-    ++cut_zb;
-  };
-  auto cfg = SmallBlocks();
+  core::CollectingSink sink;
+  auto cfg = SmallBlocks(&sink);
   cfg.pipeline.EnableBundle(core::Protocol::kZigbee);
-  cfg.sink = &sink;
   cfg.supervisor.demod_limits.max_samples = 16;
   core::StreamingMonitor monitor(cfg);
   DriveWhole(monitor, span);
 
-  EXPECT_EQ(cut_zb, 0u);
+  EXPECT_TRUE(sink.zb_frames.empty());
   const auto counts = monitor.supervisor().counts();
   EXPECT_GT(counts.deadline, 0u);
   EXPECT_EQ(counts.exception, 0u);
@@ -277,14 +270,14 @@ TEST(Supervision, BreakerTripsBacksOffAndRecovers) {
   core::Supervisor sup(cfg);
   const dsp::SampleVec dummy(64);
   const auto fail = [&] {
-    return sup.Supervise(core::Protocol::kWifi80211b, 0, 64, dummy,
-                         [](util::WorkBudget&) {
-                           throw std::runtime_error("boom");
-                         });
+    return Supervise(sup, core::Protocol::kWifi80211b, 0, 64, dummy,
+                     [](util::WorkBudget&) {
+                       throw std::runtime_error("boom");
+                     });
   };
   const auto succeed = [&] {
-    return sup.Supervise(core::Protocol::kWifi80211b, 0, 64, dummy,
-                         [](util::WorkBudget&) {});
+    return Supervise(sup, core::Protocol::kWifi80211b, 0, 64, dummy,
+                     [](util::WorkBudget&) {});
   };
 
   // Two failures in the window trip the breaker open.
@@ -319,12 +312,12 @@ TEST(Supervision, BreakerTripsBacksOffAndRecovers) {
   // While the half-open probe is in flight, other intervals are skipped.
   bool probe_ran = false;
   std::thread probe([&] {
-    sup.Supervise(core::Protocol::kWifi80211b, 0, 64, dummy,
-                  [&](util::WorkBudget&) {
-                    probe_ran = true;
-                    // A second interval arriving mid-probe is not admitted.
-                    EXPECT_EQ(succeed(), core::Outcome::kSkipped);
-                  });
+    Supervise(sup, core::Protocol::kWifi80211b, 0, 64, dummy,
+              [&](util::WorkBudget&) {
+                probe_ran = true;
+                // A second interval arriving mid-probe is not admitted.
+                EXPECT_EQ(succeed(), core::Outcome::kSkipped);
+              });
   });
   probe.join();
   EXPECT_TRUE(probe_ran);
@@ -351,10 +344,10 @@ TEST(Supervision, QuarantineRingIsBoundedAndKeepsNewest) {
   sup.set_stream_offset(10'000);
   dsp::SampleVec interval(32, dsp::cfloat{1.0f, -1.0f});
   for (int i = 0; i < 10; ++i) {
-    sup.Supervise(core::Protocol::kBluetooth, i * 100, i * 100 + 32, interval,
-                  [](util::WorkBudget&) {
-                    throw std::runtime_error("poison");
-                  });
+    Supervise(sup, core::Protocol::kBluetooth, i * 100, i * 100 + 32,
+              interval, [](util::WorkBudget&) {
+                throw std::runtime_error("poison");
+              });
   }
   const auto q = sup.quarantine();
   ASSERT_EQ(q.size(), 4u);  // oldest evicted
@@ -403,14 +396,14 @@ TEST(Supervision, ConcurrentSuperviseIsRaceFree) {
       const auto proto = (t % 2 == 0) ? core::Protocol::kWifi80211b
                                       : core::Protocol::kBluetooth;
       for (int i = 0; i < 200; ++i) {
-        sup.Supervise(proto, i, i + 128, interval,
-                      [&](util::WorkBudget& b) {
-                        if (i % 3 == 0) throw std::runtime_error("x");
-                        if (i % 3 == 1) {
-                          while (b.Charge(512)) {
-                          }
-                        }
-                      });
+        Supervise(sup, proto, i, i + 128, interval,
+                  [&](util::WorkBudget& b) {
+                    if (i % 3 == 0) throw std::runtime_error("x");
+                    if (i % 3 == 1) {
+                      while (b.Charge(512)) {
+                      }
+                    }
+                  });
       }
     });
   }
@@ -437,16 +430,12 @@ TEST(SupervisedStreaming, ThrowingDemodulatorIsContainedAndBreakerRecovers) {
   const auto cutoff = static_cast<std::int64_t>(samples.size() / 2);
 
   // Control run: same band, no faults.
-  std::size_t control_wifi = 0, control_bt = 0;
+  core::CollectingSink control_sink;
   {
-    core::StreamingMonitor control(SmallBlocks());
-    control.on_wifi_frame =
-        [&](const rfdump::phy80211::DecodedFrame&) { ++control_wifi; };
-    control.on_bt_packet =
-        [&](const rfdump::phybt::DecodedBtPacket&) { ++control_bt; };
+    core::StreamingMonitor control(SmallBlocks(&control_sink));
     DriveWhole(control, span);
-    ASSERT_GT(control_wifi, 0u);
-    ASSERT_GT(control_bt, 0u);
+    ASSERT_GT(control_sink.wifi_frames.size(), 0u);
+    ASSERT_GT(control_sink.bt_packets.size(), 0u);
   }
 
   namespace obs = rfdump::obs;
@@ -464,7 +453,8 @@ TEST(SupervisedStreaming, ThrowingDemodulatorIsContainedAndBreakerRecovers) {
 
   // Impaired run: the 802.11 demodulator "crashes" on every interval in the
   // first half of the stream, then behaves.
-  auto mcfg = SmallBlocks();
+  core::CollectingSink sink;
+  auto mcfg = SmallBlocks(&sink);
   mcfg.supervisor.breaker_window = 4;
   mcfg.supervisor.breaker_trip_failures = 2;
   mcfg.supervisor.breaker_cooldown_blocks = 1;
@@ -475,17 +465,10 @@ TEST(SupervisedStreaming, ThrowingDemodulatorIsContainedAndBreakerRecovers) {
     }
   };
   core::StreamingMonitor monitor(mcfg);
-  std::size_t faulty_bt = 0;
-  std::vector<rfdump::phy80211::DecodedFrame> wifi_frames;
-  monitor.on_bt_packet =
-      [&](const rfdump::phybt::DecodedBtPacket&) { ++faulty_bt; };
-  monitor.on_wifi_frame = [&](const rfdump::phy80211::DecodedFrame& f) {
-    wifi_frames.push_back(f);
-  };
   DriveWhole(monitor, span);  // completing at all is the headline assertion
 
   // The other protocol decoded at exactly the unimpaired rate.
-  EXPECT_EQ(faulty_bt, control_bt);
+  EXPECT_EQ(sink.bt_packets.size(), control_sink.bt_packets.size());
 
   // Failures were contained and counted, the breaker tripped, and after the
   // faulty region ended a half-open probe closed it again.
@@ -500,9 +483,9 @@ TEST(SupervisedStreaming, ThrowingDemodulatorIsContainedAndBreakerRecovers) {
 
   // 802.11 decoding resumed after recovery: every decoded frame is post-
   // cutoff, and there are some.
-  EXPECT_GT(wifi_frames.size(), 0u);
-  EXPECT_LT(wifi_frames.size(), control_wifi);
-  for (const auto& f : wifi_frames) EXPECT_GE(f.start_sample, cutoff);
+  EXPECT_GT(sink.wifi_frames.size(), 0u);
+  EXPECT_LT(sink.wifi_frames.size(), control_sink.wifi_frames.size());
+  for (const auto& f : sink.wifi_frames) EXPECT_GE(f.start_sample, cutoff);
 
   // Quarantine holds the poison intervals: right protocol, right outcome,
   // absolute positions inside the faulty region, non-empty snapshots.
@@ -569,18 +552,17 @@ TEST(SupervisedStreaming, DeadlineBlowingIntervalAbortsCleanly) {
                                   /*seed=*/72);
   const auto span = dsp::const_sample_span(samples);
 
-  std::size_t control_bt = 0;
+  core::CollectingSink control_sink;
   {
-    core::StreamingMonitor control(SmallBlocks());
-    control.on_bt_packet =
-        [&](const rfdump::phybt::DecodedBtPacket&) { ++control_bt; };
+    core::StreamingMonitor control(SmallBlocks(&control_sink));
     DriveWhole(control, span);
-    ASSERT_GT(control_bt, 0u);
+    ASSERT_GT(control_sink.bt_packets.size(), 0u);
   }
 
   // Every 802.11 interval spins until the (deterministic, sample-count)
   // budget expires — a runaway decode loop, without wall-clock flakiness.
-  auto mcfg = SmallBlocks();
+  core::CollectingSink sink;
+  auto mcfg = SmallBlocks(&sink);
   mcfg.supervisor.demod_limits.max_samples = 10'000'000;
   mcfg.supervisor.fault_hook = [](core::Protocol p, std::int64_t,
                                   util::WorkBudget& b) {
@@ -590,12 +572,9 @@ TEST(SupervisedStreaming, DeadlineBlowingIntervalAbortsCleanly) {
     }
   };
   core::StreamingMonitor monitor(mcfg);
-  std::size_t faulty_bt = 0;
-  monitor.on_bt_packet =
-      [&](const rfdump::phybt::DecodedBtPacket&) { ++faulty_bt; };
   DriveWhole(monitor, span);
 
-  EXPECT_EQ(faulty_bt, control_bt);
+  EXPECT_EQ(sink.bt_packets.size(), control_sink.bt_packets.size());
   const auto counts = monitor.supervisor().counts();
   EXPECT_GT(counts.deadline, 0u);
   EXPECT_EQ(counts.exception, 0u);
@@ -619,15 +598,11 @@ TEST(SupervisedStreaming, CleanPathAllOkAndQuarantineEmpty) {
   // quarantined, and both protocols decode.
   const auto samples = MixedEther(/*wifi_pings=*/6, /*bt_pings=*/16,
                                   /*seed=*/73);
-  core::StreamingMonitor monitor(SmallBlocks());
-  std::size_t wifi = 0, bt = 0;
-  monitor.on_wifi_frame =
-      [&](const rfdump::phy80211::DecodedFrame&) { ++wifi; };
-  monitor.on_bt_packet =
-      [&](const rfdump::phybt::DecodedBtPacket&) { ++bt; };
+  core::CollectingSink sink;
+  core::StreamingMonitor monitor(SmallBlocks(&sink));
   DriveWhole(monitor, dsp::const_sample_span(samples));
-  EXPECT_GT(wifi, 0u);
-  EXPECT_GT(bt, 0u);
+  EXPECT_GT(sink.wifi_frames.size(), 0u);
+  EXPECT_GT(sink.bt_packets.size(), 0u);
   const auto counts = monitor.supervisor().counts();
   EXPECT_GT(counts.invocations, 0u);
   EXPECT_EQ(counts.ok, counts.invocations);
